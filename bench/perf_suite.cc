@@ -363,7 +363,7 @@ bool WriteJson() {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"perf_suite\",\n");
-  std::fprintf(out, "  \"schema_version\": 1,\n");
+  std::fprintf(out, "  \"schema_version\": 2,\n");
   EmitMachineJson(out, "  ");
   std::fprintf(out, "  \"seed\": %llu,\n", static_cast<unsigned long long>(kSeed));
   std::fprintf(out, "  \"determinism_ok\": %s,\n",

@@ -1,5 +1,6 @@
 #include "src/common/bytes.h"
 
+#include <bit>
 #include <cstring>
 
 namespace pronghorn {
@@ -36,6 +37,25 @@ void ByteWriter::WriteDouble(double value) {
   WriteUint64(bits);
 }
 
+void ByteWriter::WriteDoubles(std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory representation already is the wire format.
+    const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+    data_.insert(data_.end(), bytes, bytes + values.size_bytes());
+  } else {
+    const size_t offset = data_.size();
+    data_.resize(offset + values.size_bytes());
+    uint8_t* out = data_.data() + offset;
+    for (const double value : values) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (size_t i = 0; i < 8; ++i) {
+        *out++ = static_cast<uint8_t>(bits >> (8 * i));
+      }
+    }
+  }
+}
+
 void ByteWriter::WriteVarint(uint64_t value) {
   while (value >= 0x80) {
     data_.push_back(static_cast<uint8_t>((value & 0x7f) | 0x80));
@@ -52,6 +72,10 @@ void ByteWriter::WriteBytes(std::span<const uint8_t> bytes) {
 void ByteWriter::WriteString(std::string_view text) {
   WriteVarint(text.size());
   data_.insert(data_.end(), text.begin(), text.end());
+}
+
+void ByteWriter::WriteRaw(std::span<const uint8_t> bytes) {
+  data_.insert(data_.end(), bytes.begin(), bytes.end());
 }
 
 Status ByteReader::Require(size_t count) const {
@@ -94,6 +118,29 @@ Result<double> ByteReader::ReadDouble() {
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
+}
+
+Status ByteReader::ReadDoubles(std::span<double> out) {
+  // Divide rather than multiply: a caller-sized `out` cannot overflow.
+  if (remaining() / sizeof(double) < out.size()) {
+    return OutOfRangeError("read past end of buffer");
+  }
+  const uint8_t* in = data_.data() + offset_;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) {
+      std::memcpy(out.data(), in, out.size_bytes());
+    }
+  } else {
+    for (double& value : out) {
+      uint64_t bits = 0;
+      for (size_t i = 0; i < 8; ++i) {
+        bits |= static_cast<uint64_t>(*in++) << (8 * i);
+      }
+      std::memcpy(&value, &bits, sizeof(value));
+    }
+  }
+  offset_ += out.size_bytes();
+  return OkStatus();
 }
 
 Result<uint64_t> ByteReader::ReadVarint() {

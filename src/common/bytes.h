@@ -19,11 +19,24 @@
 
 namespace pronghorn {
 
+// Bytes ByteWriter::WriteVarint emits for `value` (1-10).
+constexpr size_t VarintSize(uint64_t value) {
+  size_t size = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++size;
+  }
+  return size;
+}
+
 // Appends fixed-width little-endian scalars, varints, and length-prefixed
 // blobs to an owned byte vector.
 class ByteWriter {
  public:
   ByteWriter() = default;
+  // Appends to `buffer`, reusing its capacity (clear it first to recycle a
+  // spent encoding's storage).
+  explicit ByteWriter(std::vector<uint8_t> buffer) : data_(std::move(buffer)) {}
 
   void WriteUint8(uint8_t value);
   void WriteUint32(uint32_t value);
@@ -31,11 +44,16 @@ class ByteWriter {
   void WriteInt64(int64_t value);
   // IEEE-754 bit pattern, little-endian.
   void WriteDouble(double value);
+  // Every element as by WriteDouble, with no length prefix: one append (a
+  // memcpy on little-endian hosts, the per-byte path elsewhere).
+  void WriteDoubles(std::span<const double> values);
   // LEB128-style unsigned varint.
   void WriteVarint(uint64_t value);
   // Varint length prefix followed by raw bytes.
   void WriteBytes(std::span<const uint8_t> bytes);
   void WriteString(std::string_view text);
+  // Raw bytes with no length prefix (splices a pre-encoded section).
+  void WriteRaw(std::span<const uint8_t> bytes);
 
   const std::vector<uint8_t>& data() const { return data_; }
   std::vector<uint8_t> TakeData() { return std::move(data_); }
@@ -43,11 +61,6 @@ class ByteWriter {
 
   // Reserves capacity up front when the final size is roughly known.
   void Reserve(size_t bytes) { data_.reserve(bytes); }
-
-  // Drops the contents but keeps the capacity, so a long-lived writer can
-  // re-encode repeatedly without re-growing its buffer (the policy-state
-  // store's per-request encode path).
-  void Clear() { data_.clear(); }
 
  private:
   std::vector<uint8_t> data_;
@@ -65,6 +78,9 @@ class ByteReader {
   Result<uint64_t> ReadUint64();
   Result<int64_t> ReadInt64();
   Result<double> ReadDouble();
+  // Fills `out` with out.size() doubles as written by WriteDoubles; fails
+  // with kOutOfRange, consuming nothing, unless all of them are available.
+  Status ReadDoubles(std::span<double> out);
   Result<uint64_t> ReadVarint();
   Result<std::vector<uint8_t>> ReadBytes();
   Result<std::string> ReadString();

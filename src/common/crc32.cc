@@ -6,29 +6,53 @@ namespace pronghorn {
 
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+// tables[0] is the classic bytewise table of the reflected polynomial;
+// tables[k][b] is the CRC contribution of byte b followed by k zero bytes,
+// which lets the main loop fold eight input bytes per step (slice-by-8).
+constexpr Crc32Tables BuildTables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t value = i;
     for (int bit = 0; bit < 8; ++bit) {
       value = (value & 1) ? (0xedb88320u ^ (value >> 1)) : (value >> 1);
     }
-    table[i] = value;
+    tables[0][i] = value;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = BuildTable();
-  return table;
+constexpr Crc32Tables kTables = BuildTables();
+
+// Little-endian load assembled from bytes: alignment- and host-independent
+// (compilers fuse it into one load on little-endian targets).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  const auto& table = Table();
-  for (uint8_t byte : data) {
-    state = table[(state ^ byte) & 0xff] ^ (state >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = state ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    state = kTables[7][lo & 0xff] ^ kTables[6][(lo >> 8) & 0xff] ^
+            kTables[5][(lo >> 16) & 0xff] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xff] ^ kTables[2][(hi >> 8) & 0xff] ^
+            kTables[1][(hi >> 16) & 0xff] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = kTables[0][(state ^ *p) & 0xff] ^ (state >> 8);
   }
   return state;
 }

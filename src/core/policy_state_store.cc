@@ -29,7 +29,28 @@ uint64_t StableNameHash(std::string_view name) {
 
 }  // namespace
 
-void EncodePolicyStateInto(const PolicyState& state, ByteWriter& writer) {
+namespace {
+
+// Bytes EncodePolicyState writes (builds the pool memo when stale).
+size_t EncodedPolicyStateSize(const PolicyState& state) {
+  size_t size = 4 + state.theta.SerializedSize() + state.pool.SerializedSize() +
+                VarintSize(state.restore_failures.size()) +
+                VarintSize(state.commit_marks.size());
+  for (const auto& [id, count] : state.restore_failures) {
+    size += VarintSize(id) + VarintSize(count);
+  }
+  for (const auto& [scope, mark] : state.commit_marks) {
+    size += VarintSize(scope) + VarintSize(mark);
+  }
+  return size;
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodePolicyState(const PolicyState& state) {
+  // Exact-size reservation: the one allocation is the returned buffer.
+  ByteWriter writer;
+  writer.Reserve(EncodedPolicyStateSize(state));
   writer.WriteUint32(kStateFormatVersion);
   state.theta.Serialize(writer);
   state.pool.Serialize(writer);
@@ -43,11 +64,6 @@ void EncodePolicyStateInto(const PolicyState& state, ByteWriter& writer) {
     writer.WriteVarint(scope);
     writer.WriteVarint(mark);
   }
-}
-
-std::vector<uint8_t> EncodePolicyState(const PolicyState& state) {
-  ByteWriter writer;
-  EncodePolicyStateInto(state, writer);
   return writer.TakeData();
 }
 
@@ -106,10 +122,13 @@ void PolicyStateStore::RememberState(const PolicyState& state, uint64_t version)
   cached_version_ = version;
 }
 
-std::vector<uint8_t> PolicyStateStore::EncodeForCas(const PolicyState& state) const {
-  encode_buffer_.Clear();
-  EncodePolicyStateInto(state, encode_buffer_);
-  return encode_buffer_.data();
+Result<VersionedValue> PolicyStateStore::ReadState() const {
+  if (cached_state_.has_value()) {
+    // Only the version matters when it matches the cached state's: skip
+    // copying the blob.
+    return db_.GetVersionedIfChanged(StateKey(), cached_version_);
+  }
+  return db_.GetVersioned(StateKey());
 }
 
 void PolicyStateStore::Backoff(int retry_index) const {
@@ -126,15 +145,14 @@ void PolicyStateStore::Backoff(int retry_index) const {
 }
 
 Result<PolicyState> PolicyStateStore::Load() const {
-  // GetVersioned instead of Get so the blob's version can key the decoded
-  // cache; the two read paths share one fault draw and one accounting bump,
-  // so this is trajectory-neutral.
+  // A versioned read instead of Get so the blob's version can key the
+  // decoded cache; every read path shares one fault draw and one accounting
+  // bump, so this is trajectory-neutral.
   stats_.loads += 1;
   for (int attempt = 0;; ++attempt) {
-    auto versioned = db_.GetVersioned(StateKey());
+    auto versioned = ReadState();
     if (versioned.ok()) {
-      if (cache_enabled_ && cached_state_.has_value() &&
-          cached_version_ == versioned->version) {
+      if (cached_state_.has_value() && cached_version_ == versioned->version) {
         cache_stats_.hits += 1;
         return *cached_state_;
       }
@@ -174,17 +192,17 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
   int conflicts = 0;
   for (int attempt = 0; attempt < retry_.max_cas_attempts; ++attempt) {
     uint64_t version = 0;
-    PolicyState state(config_);
-    auto versioned = db_.GetVersioned(StateKey());
+    std::optional<PolicyState> state;
+    auto versioned = ReadState();
     if (versioned.ok()) {
       version = versioned->version;
-      if (cache_enabled_ && cached_state_.has_value() && cached_version_ == version) {
+      if (cached_state_.has_value() && cached_version_ == version) {
         // Cache hit: the blob at this version is the one we decoded (or
         // wrote) last time, so skip DecodePolicyState. Move the state out —
         // the CAS below either re-installs the mutated successor or
         // invalidates, so the pristine copy is never needed again.
         cache_stats_.hits += 1;
-        state = *std::move(cached_state_);
+        state = std::move(cached_state_);
         cached_state_.reset();
       } else {
         auto decoded = DecodePolicyState(versioned->value);
@@ -195,7 +213,7 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
         if (cache_enabled_) {
           cache_stats_.misses += 1;
         }
-        state = *std::move(decoded);
+        state.emplace(*std::move(decoded));
       }
     } else if (versioned.status().code() == StatusCode::kUnavailable) {
       if (++transient_failures > retry_.max_transient_retries) {
@@ -209,12 +227,13 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
       return versioned.status();
     } else {
       InvalidateCache();  // Fresh key: any cached version tag is meaningless.
+      state.emplace(config_);
     }
 
-    mutate(state);
+    mutate(*state);
 
     stats_.cas_attempts += 1;
-    Status cas = db_.CompareAndSwap(StateKey(), version, EncodeForCas(state));
+    Status cas = db_.CompareAndSwap(StateKey(), version, EncodePolicyState(*state));
     if (cas.ok()) {
       if (cache_enabled_) {
         // A successful CAS at `version` installs the blob at version + 1;

@@ -19,7 +19,6 @@
 #include <optional>
 #include <string>
 
-#include "src/common/bytes.h"
 #include "src/common/clock.h"
 #include "src/common/rng.h"
 #include "src/core/policy.h"
@@ -28,11 +27,10 @@
 namespace pronghorn {
 
 // Serializes a PolicyState to the Database blob format (versioned, CRC-free:
-// the Database is trusted storage, unlike snapshot images in flight).
+// the Database is trusted storage, unlike snapshot images in flight). The
+// result is allocated once, at its exact size. Cost is O(changed bytes): theta
+// is one bulk copy and an unchanged pool splices its memoized section.
 std::vector<uint8_t> EncodePolicyState(const PolicyState& state);
-// Appends the same encoding to a caller-owned writer, so a long-lived buffer
-// can be reused across encodes without re-growing (call writer.Clear() first).
-void EncodePolicyStateInto(const PolicyState& state, ByteWriter& writer);
 Result<PolicyState> DecodePolicyState(std::span<const uint8_t> bytes);
 
 // Bounds and shape of the store's retry loops.
@@ -117,9 +115,9 @@ class PolicyStateStore {
   void InvalidateCache() const;
   void RememberState(const PolicyState& state, uint64_t version) const;
 
-  // Encodes through the reusable buffer: no buffer growth after warm-up,
-  // one exact-size allocation for the CAS-owned copy.
-  std::vector<uint8_t> EncodeForCas(const PolicyState& state) const;
+  // Reads the state blob. With a cached state this is the copy-free probe:
+  // on a version match the value comes back empty.
+  Result<VersionedValue> ReadState() const;
 
   KvDatabase& db_;
   std::string function_;
@@ -138,7 +136,6 @@ class PolicyStateStore {
   mutable std::optional<PolicyState> cached_state_;
   mutable uint64_t cached_version_ = 0;
   mutable StateCacheStats cache_stats_;
-  mutable ByteWriter encode_buffer_;
 };
 
 }  // namespace pronghorn

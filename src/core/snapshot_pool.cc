@@ -1,6 +1,7 @@
 #include "src/core/snapshot_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -12,6 +13,7 @@ Status SnapshotPool::Add(PoolEntry entry) {
                               " already in pool");
   }
   entries_.push_back(std::move(entry));
+  section_fresh_ = false;
   return OkStatus();
 }
 
@@ -36,6 +38,7 @@ bool SnapshotPool::Remove(SnapshotId id) {
     return false;
   }
   entries_.erase(it);
+  section_fresh_ = false;
   return true;
 }
 
@@ -46,6 +49,7 @@ std::vector<PoolEntry> SnapshotPool::Prune(std::span<const double> weights,
   if (entries_.empty() || weights.size() != entries_.size()) {
     return removed;
   }
+  section_fresh_ = false;
   const size_t n = entries_.size();
   size_t keep_top = static_cast<size_t>(
       std::ceil(static_cast<double>(n) * top_percent / 100.0));
@@ -92,17 +96,38 @@ std::vector<PoolEntry> SnapshotPool::Prune(std::span<const double> weights,
   return removed;
 }
 
-void SnapshotPool::Serialize(ByteWriter& writer) const {
-  writer.WriteVarint(entries_.size());
-  for (const PoolEntry& entry : entries_) {
-    writer.WriteUint64(entry.metadata.id.value);
-    writer.WriteString(entry.metadata.function);
-    writer.WriteVarint(entry.metadata.request_number);
-    writer.WriteVarint(entry.metadata.logical_size_bytes);
-    writer.WriteInt64(entry.metadata.created_at.ToMicros());
-    writer.WriteString(entry.object_key);
+const std::vector<uint8_t>& SnapshotPool::Section() const {
+  if (!section_fresh_) {
+    std::vector<uint8_t> buffer;
+    if (section_ != nullptr && section_.use_count() == 1) {
+      // Sole holder: recycle the stale buffer's storage. The acquire fence
+      // orders this after any other holder's last read, which preceded its
+      // release of the reference.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      buffer = std::move(*section_);
+      buffer.clear();
+    } else {
+      section_ = std::make_shared<std::vector<uint8_t>>();
+    }
+    ByteWriter writer(std::move(buffer));
+    writer.WriteVarint(entries_.size());
+    for (const PoolEntry& entry : entries_) {
+      writer.WriteUint64(entry.metadata.id.value);
+      writer.WriteString(entry.metadata.function);
+      writer.WriteVarint(entry.metadata.request_number);
+      writer.WriteVarint(entry.metadata.logical_size_bytes);
+      writer.WriteInt64(entry.metadata.created_at.ToMicros());
+      writer.WriteString(entry.object_key);
+    }
+    *section_ = writer.TakeData();
+    section_fresh_ = true;
   }
+  return *section_;
 }
+
+void SnapshotPool::Serialize(ByteWriter& writer) const { writer.WriteRaw(Section()); }
+
+size_t SnapshotPool::SerializedSize() const { return Section().size(); }
 
 Result<SnapshotPool> SnapshotPool::Deserialize(ByteReader& reader) {
   PRONGHORN_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());

@@ -5,6 +5,7 @@
 #define PRONGHORN_SRC_CORE_SNAPSHOT_POOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -51,13 +52,35 @@ class SnapshotPool {
   std::vector<PoolEntry> Prune(std::span<const double> weights, double top_percent,
                                double random_percent, Rng& rng);
 
+  // Appends the pool section: a varint entry count, then per entry the id,
+  // function, request number, logical size, creation time and object key.
+  // The section is memoized: the first call after a mutation encodes it,
+  // later calls splice the cached bytes. Add, Remove and Prune mark the memo
+  // stale; a pool built by Deserialize starts without one.
   void Serialize(ByteWriter& writer) const;
+  // Bytes Serialize appends (builds the memo when stale).
+  size_t SerializedSize() const;
   static Result<SnapshotPool> Deserialize(ByteReader& reader);
 
-  bool operator==(const SnapshotPool& other) const = default;
+  // Whether Serialize would splice a memoized section (for tests).
+  bool section_memoized() const { return section_fresh_; }
+
+  // Identity is the entries only; the memo is derived state.
+  bool operator==(const SnapshotPool& other) const { return entries_ == other.entries_; }
 
  private:
+  // The memoized section, re-encoded first when stale.
+  const std::vector<uint8_t>& Section() const;
+
   std::vector<PoolEntry> entries_;
+  // Copies of the pool share the memo buffer (a refcount bump, not a deep
+  // copy). A rebuild reuses the buffer in place only while this pool is its
+  // sole holder and otherwise starts a new one, so a shared buffer never
+  // changes under a copy. Like WeightVector's caches, the memo is filled by
+  // const calls: one pool object is used by one thread at a time, while
+  // copies may live on other threads (the refcount is atomic).
+  mutable std::shared_ptr<std::vector<uint8_t>> section_;
+  mutable bool section_fresh_ = false;
 };
 
 }  // namespace pronghorn

@@ -158,9 +158,11 @@ double WeightVector::LifetimeLatencySum(uint64_t start, uint32_t beta) const {
 
 void WeightVector::Serialize(ByteWriter& writer) const {
   writer.WriteVarint(values_.size());
-  for (double v : values_) {
-    writer.WriteDouble(v);
-  }
+  writer.WriteDoubles(values_);
+}
+
+size_t WeightVector::SerializedSize() const {
+  return VarintSize(values_.size()) + values_.size() * sizeof(double);
 }
 
 Result<WeightVector> WeightVector::Deserialize(ByteReader& reader) {
@@ -168,13 +170,16 @@ Result<WeightVector> WeightVector::Deserialize(ByteReader& reader) {
   if (length == 0 || length > (1u << 24)) {
     return DataLossError("implausible weight vector length");
   }
+  // Bound the allocation by the input before sizing the vector.
+  if (reader.remaining() / sizeof(double) < length) {
+    return OutOfRangeError("read past end of buffer");
+  }
   WeightVector vector(static_cast<uint32_t>(length));
-  for (uint64_t i = 0; i < length; ++i) {
-    PRONGHORN_ASSIGN_OR_RETURN(double v, reader.ReadDouble());
+  PRONGHORN_RETURN_IF_ERROR(reader.ReadDoubles(vector.values_));
+  for (const double v : vector.values_) {
     if (v < 0.0) {
       return DataLossError("negative latency in weight vector");
     }
-    vector.values_[i] = v;
   }
   vector.explored_count_ = vector.ScanExploredCount();
   return vector;

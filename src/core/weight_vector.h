@@ -65,7 +65,11 @@ class WeightVector {
   // Sum of learned latencies over a lifetime window, for reporting.
   double LifetimeLatencySum(uint64_t start, uint32_t beta) const;
 
+  // A varint length and then every entry as an 8-byte little-endian double,
+  // written and read in bulk.
   void Serialize(ByteWriter& writer) const;
+  // Bytes Serialize appends.
+  size_t SerializedSize() const;
   static Result<WeightVector> Deserialize(ByteReader& reader);
 
   // Identity is the learned values only; the derived caches are

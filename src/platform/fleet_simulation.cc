@@ -78,9 +78,17 @@ Result<ClusterReport> FleetSimulation::RunShard(
   cluster_options.seed = function_seed;
   cluster_options.worker_slots = spec.worker_slots;
   cluster_options.exploring_slots = spec.exploring_slots;
-  ClusterSimulation cluster(*spec.profile, registry_, *spec.policy, *eviction,
-                            cluster_options);
-  return cluster.RunClosedLoop(spec.requests);
+  // The shard's one deployment keeps its profile's name (it keys the state
+  // store and its retry jitter, so the digest depends on it), but binds to a
+  // shared service under the fleet deployment name: two shards of one
+  // profile must not bind and unbind the same service endpoint.
+  SimEnvironment env(registry_, cluster_options);
+  PRONGHORN_RETURN_IF_ERROR(env.AddDeployment(
+      spec.profile->name, *spec.profile, *spec.policy, *eviction, spec.worker_slots,
+      spec.exploring_slots, function_seed, /*service_name=*/spec.name));
+  PRONGHORN_RETURN_IF_ERROR(env.RunClosedLoop(spec.requests));
+  env.RetireAllWorkers();
+  return env.TakeFlatReport();
 }
 
 uint64_t FleetSimulation::Fingerprint() const {

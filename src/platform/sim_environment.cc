@@ -122,9 +122,10 @@ SimEnvironment::~SimEnvironment() {
   // outlives us and must not keep pointers into the deployments.
   if (service_ != nullptr && service_->running()) {
     for (const Deployment& deployment : deployments_) {
-      const Status unbound = service_->Unbind(deployment.name);
+      const Status unbound = service_->Unbind(deployment.service_name);
       if (!unbound.ok()) {
-        PRONGHORN_LOG_WARNING("unbind of '%s' failed: %s", deployment.name.c_str(),
+        PRONGHORN_LOG_WARNING("unbind of '%s' failed: %s",
+                              deployment.service_name.c_str(),
                               unbound.ToString().c_str());
       }
     }
@@ -156,7 +157,7 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
                                      const OrchestrationPolicy& policy,
                                      const EvictionModel& eviction,
                                      uint32_t worker_slots, uint32_t exploring_slots,
-                                     uint64_t sub_seed) {
+                                     uint64_t sub_seed, std::string service_name) {
   if (name.empty()) {
     return InvalidArgumentError("deployment name must be non-empty");
   }
@@ -168,6 +169,7 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
   exploring_slots = std::min(exploring_slots, worker_slots);
 
   Deployment deployment;
+  deployment.service_name = service_name.empty() ? name : std::move(service_name);
   deployment.name = std::move(name);
   deployment.profile = &profile;
   deployment.exploit_policy =
@@ -203,11 +205,11 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
     // SimCore and the clients are heap-owned below, so both pointer sets
     // survive the deployment's move into deployments_.
     for (uint32_t i = 0; i < worker_slots; ++i) {
-      const Status bound = service_->Bind(deployment.name, i,
+      const Status bound = service_->Bind(deployment.service_name, i,
                                           &deployment.slots[i].orchestrator(),
                                           &clock_);
       if (!bound.ok()) {
-        const Status unbound = service_->Unbind(deployment.name);
+        const Status unbound = service_->Unbind(deployment.service_name);
         (void)unbound;  // Best-effort rollback of earlier slots.
         return bound;
       }
@@ -215,7 +217,7 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
     deployment.clients.reserve(worker_slots);
     for (uint32_t i = 0; i < worker_slots; ++i) {
       deployment.clients.push_back(
-          std::make_unique<ServiceClient>(service_, deployment.name, i));
+          std::make_unique<ServiceClient>(service_, deployment.service_name, i));
       deployment.slots[i].set_backend(deployment.clients.back().get());
     }
   }

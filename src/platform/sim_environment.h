@@ -114,10 +114,14 @@ class SimEnvironment {
   // are borrowed and must outlive the environment. `sub_seed` scopes every
   // RNG substream of the deployment; single-deployment drivers pass their
   // experiment seed, multi-deployment drivers pass DeploymentSeed(seed, name).
+  // In service mode the slots bind under `service_name` (empty: `name`):
+  // environments sharing one service must bind under distinct names even
+  // when their deployments share a name.
   Status AddDeployment(std::string name, const WorkloadProfile& profile,
                        const OrchestrationPolicy& policy,
                        const EvictionModel& eviction, uint32_t worker_slots,
-                       uint32_t exploring_slots, uint64_t sub_seed);
+                       uint32_t exploring_slots, uint64_t sub_seed,
+                       std::string service_name = {});
 
   // Closed loop with one outstanding request per slot: each request goes to
   // the slot (across all deployments) that frees earliest, and is issued the
@@ -195,6 +199,8 @@ class SimEnvironment {
  private:
   struct Deployment {
     std::string name;
+    // Service mode: the name the slots are bound under.
+    std::string service_name;
     const WorkloadProfile* profile = nullptr;
     std::unique_ptr<StopConditionPolicy> exploit_policy;
     std::unique_ptr<CheckpointEngine> engine;

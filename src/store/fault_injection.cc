@@ -295,6 +295,12 @@ Result<VersionedValue> FaultyKvDatabase::GetVersioned(std::string_view key) {
   return inner_.GetVersioned(key);
 }
 
+Result<VersionedValue> FaultyKvDatabase::GetVersionedIfChanged(std::string_view key,
+                                                               uint64_t known_version) {
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.get_failure_rate, "get-versioned"));
+  return inner_.GetVersionedIfChanged(key, known_version);
+}
+
 Status FaultyKvDatabase::CompareAndSwap(std::string_view key, uint64_t expected_version,
                                         std::vector<uint8_t> value) {
   PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.put_failure_rate, "compare-and-swap"));

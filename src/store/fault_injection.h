@@ -303,6 +303,9 @@ class FaultyKvDatabase : public KvDatabase {
   Status Put(std::string_view key, std::vector<uint8_t> value) override;
   Result<std::vector<uint8_t>> Get(std::string_view key) override;
   Result<VersionedValue> GetVersioned(std::string_view key) override;
+  // Draws exactly as GetVersioned, then forwards to the inner probe.
+  Result<VersionedValue> GetVersionedIfChanged(std::string_view key,
+                                               uint64_t known_version) override;
   Status CompareAndSwap(std::string_view key, uint64_t expected_version,
                         std::vector<uint8_t> value) override;
   Status Delete(std::string_view key) override;

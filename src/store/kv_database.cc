@@ -33,12 +33,21 @@ Result<std::vector<uint8_t>> InMemoryKvDatabase::Get(std::string_view key) {
 }
 
 Result<VersionedValue> InMemoryKvDatabase::GetVersioned(std::string_view key) {
+  // Stored versions start at 1, so version 0 never matches: a full copy.
+  return GetVersionedIfChanged(key, 0);
+}
+
+Result<VersionedValue> InMemoryKvDatabase::GetVersionedIfChanged(std::string_view key,
+                                                                 uint64_t known_version) {
   reads_.fetch_add(1, std::memory_order_relaxed);
   Stripe& stripe = stripes_[StripeIndexForKey(key)];
   std::lock_guard<std::mutex> lock(stripe.mutex);
   auto it = stripe.entries.find(key);
   if (it == stripe.entries.end()) {
     return NotFoundError("no database entry for '" + std::string(key) + "'");
+  }
+  if (it->second.version == known_version) {
+    return VersionedValue{{}, known_version};
   }
   return it->second;
 }

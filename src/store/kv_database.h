@@ -48,6 +48,15 @@ class KvDatabase {
   // Atomic read; kNotFound when absent.
   virtual Result<std::vector<uint8_t>> Get(std::string_view key) = 0;
   virtual Result<VersionedValue> GetVersioned(std::string_view key) = 0;
+  // GetVersioned for a caller that already holds the value at
+  // `known_version`: on a version match the value may be left empty, which
+  // skips copying the blob. Same accounting and fault draw as GetVersioned.
+  // The default forwards to GetVersioned (and so always fills the value).
+  virtual Result<VersionedValue> GetVersionedIfChanged(std::string_view key,
+                                                       uint64_t known_version) {
+    (void)known_version;
+    return GetVersioned(key);
+  }
   // Writes `value` only if the current version equals `expected_version`
   // (use 0 for "key must not exist"); kAborted on conflict.
   virtual Status CompareAndSwap(std::string_view key, uint64_t expected_version,
@@ -73,6 +82,9 @@ class InMemoryKvDatabase : public KvDatabase {
   Status Put(std::string_view key, std::vector<uint8_t> value) override;
   Result<std::vector<uint8_t>> Get(std::string_view key) override;
   Result<VersionedValue> GetVersioned(std::string_view key) override;
+  // Leaves the value empty on a version match.
+  Result<VersionedValue> GetVersionedIfChanged(std::string_view key,
+                                               uint64_t known_version) override;
   Status CompareAndSwap(std::string_view key, uint64_t expected_version,
                         std::vector<uint8_t> value) override;
   Status Delete(std::string_view key) override;

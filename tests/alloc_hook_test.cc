@@ -5,7 +5,8 @@
 // the policy's thread-local arena and caches are warm, OnWorkerStart,
 // OnRequestComplete, and OnSnapshotAdded-without-eviction allocate nothing.
 // A regression here silently re-introduces malloc into the per-decision hot
-// loop, which is exactly the cost class this PR removed.
+// loop. It also pins the exact allocation count of a warm knowledge write
+// through PolicyStateStore, which does not depend on the machine.
 //
 // Under sanitizers the runtime interposes its own allocator and the
 // replacement functions below may not see every allocation (or may see the
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
 
@@ -21,7 +23,9 @@
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/core/policy_state_store.h"
 #include "src/core/request_centric_policy.h"
+#include "src/store/kv_database.h"
 
 namespace {
 
@@ -175,6 +179,55 @@ TEST(AllocHookTest, SteadyStateDecisionPathIsAllocationFree) {
     GTEST_LOG_(INFO) << "sanitizer build: allocation counts not asserted "
                      << "(start=" << start_allocs
                      << " complete=" << complete_allocs << ")";
+  }
+}
+
+// Heap allocations of one warm, cache-hit PolicyStateStore::Update with a
+// learn-only mutation, over a pool of `pool_size` entries.
+unsigned long WarmLearnUpdateAllocations(size_t pool_size) {
+  PolicyConfig config = TestConfig();
+  config.pool_capacity = 16;
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "f", config);
+  const Status seeded = store.Update([&](PolicyState& state) {
+    for (uint64_t id = 1; id <= pool_size; ++id) {
+      (void)state.pool.Add(Entry(id, id * 3));
+    }
+  });
+  EXPECT_TRUE(seeded.ok());
+  uint64_t request = 0;
+  const std::function<void(PolicyState&)> learn = [&request](PolicyState& state) {
+    state.theta.Update(request % 50, 0.002 + 1e-5 * static_cast<double>(request), 0.3);
+  };
+  // Warm-up: the first update decodes nothing (cache holds the seeded state)
+  // but builds the pool memo; later ones are steady state.
+  for (; request < 8; ++request) {
+    EXPECT_TRUE(store.Update(learn).ok());
+  }
+  unsigned long allocations = 0;
+  {
+    CountingScope scope;
+    TakeAllocationCount();
+    EXPECT_TRUE(store.Update(learn).ok());
+    allocations = TakeAllocationCount();
+  }
+  EXPECT_EQ(store.cache_stats().misses, 0u);
+  return allocations;
+}
+
+TEST(AllocHookTest, WarmStateUpdateAllocatesOnlyTheCasBuffer) {
+  // Probe (version only, no blob copy) -> mutate in place -> encode into one
+  // exact-size buffer (theta in bulk, pool section spliced from the memo) ->
+  // CAS moves that buffer into the database. The buffer is the one
+  // allocation, whatever the pool size.
+  const unsigned long small_pool = WarmLearnUpdateAllocations(1);
+  const unsigned long full_pool = WarmLearnUpdateAllocations(12);
+  if (kCountingReliable) {
+    EXPECT_EQ(small_pool, 1u);
+    EXPECT_EQ(full_pool, 1u);
+  } else {
+    GTEST_LOG_(INFO) << "sanitizer build: allocation counts not asserted (pool 1: "
+                     << small_pool << ", pool 12: " << full_pool << ")";
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -65,6 +67,53 @@ TEST(ByteRoundTripTest, StringsAndBytes) {
   EXPECT_EQ(reader.ReadString().value(), "");
   EXPECT_EQ(reader.ReadBytes().value(), blob);
   EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(ByteRoundTripTest, BulkDoublesMatchPerElementWrites) {
+  // WriteDoubles is byte-identical to a WriteDouble loop, and ReadDoubles
+  // reads back bit patterns (signed zero, infinities, NaN payloads) exactly.
+  const std::vector<double> values = {0.0,
+                                      -0.0,
+                                      1.5,
+                                      -2.25e-300,
+                                      std::numeric_limits<double>::infinity(),
+                                      std::numeric_limits<double>::quiet_NaN(),
+                                      std::numeric_limits<double>::denorm_min()};
+  ByteWriter bulk;
+  ByteWriter single;
+  bulk.WriteUint8(7);  // Odd offset: the bulk append must not assume alignment.
+  single.WriteUint8(7);
+  bulk.WriteDoubles(values);
+  for (const double v : values) {
+    single.WriteDouble(v);
+  }
+  EXPECT_EQ(bulk.data(), single.data());
+
+  ByteReader reader(bulk.data());
+  ASSERT_TRUE(reader.ReadUint8().ok());
+  std::vector<double> read(values.size());
+  ASSERT_TRUE(reader.ReadDoubles(read).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(std::memcmp(read.data(), values.data(), values.size() * sizeof(double)), 0);
+}
+
+TEST(ByteReaderTest, BulkDoublesTruncationConsumesNothing) {
+  ByteWriter writer;
+  writer.WriteDoubles(std::vector<double>{1.0, 2.0});
+  ByteReader reader(std::span<const uint8_t>(writer.data().data(), 15));
+  std::vector<double> out(2);
+  EXPECT_EQ(reader.ReadDoubles(out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(reader.remaining(), 15u);
+  EXPECT_TRUE(reader.ReadDoubles({}).ok());
+}
+
+TEST(VarintTest, SizeMatchesEncoding) {
+  for (const uint64_t value : {0ULL, 1ULL, 127ULL, 128ULL, 16383ULL, 16384ULL,
+                               (1ULL << 35) - 1, 1ULL << 35, ~0ULL}) {
+    ByteWriter writer;
+    writer.WriteVarint(value);
+    EXPECT_EQ(VarintSize(value), writer.size()) << value;
+  }
 }
 
 TEST(VarintTest, BoundaryValues) {

@@ -2,14 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string_view>
 #include <vector>
+
+#include "src/common/rng.h"
 
 namespace pronghorn {
 namespace {
 
 std::vector<uint8_t> Bytes(std::string_view text) {
   return std::vector<uint8_t>(text.begin(), text.end());
+}
+
+// The bytewise table-driven CRC-32 that Crc32Update replaced, kept verbatim
+// as the reference for the slice-by-8 loop.
+uint32_t BytewiseCrc32Update(uint32_t state, std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t value = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        value = (value & 1) ? (0xedb88320u ^ (value >> 1)) : (value >> 1);
+      }
+      t[i] = value;
+    }
+    return t;
+  }();
+  for (uint8_t byte : data) {
+    state = table[(state ^ byte) & 0xff] ^ (state >> 8);
+  }
+  return state;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseReference) {
+  // Random contents: lengths 0-63 exhaustively, then random lengths up to
+  // 4096, at every start offset mod 8, so the 8-byte main loop, the tail loop
+  // and unaligned loads are all exercised.
+  Rng rng(2024);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.NextUint64());
+  }
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t length = trial < 64 ? static_cast<size_t>(trial)
+                                     : static_cast<size_t>(rng.UniformUint64(4097));
+    const size_t offset = static_cast<size_t>(trial % 8);
+    const std::span<const uint8_t> data(buffer.data() + offset, length);
+    const uint32_t seed =
+        trial % 3 == 0 ? kCrc32Init : static_cast<uint32_t>(rng.NextUint64());
+    ASSERT_EQ(Crc32Update(seed, data), BytewiseCrc32Update(seed, data))
+        << "length " << length << " offset " << offset;
+  }
 }
 
 TEST(Crc32Test, KnownVectors) {

@@ -212,6 +212,36 @@ TEST(FaultyKvDatabaseTest, ReadsAndWritesFailIndependently) {
   EXPECT_TRUE(db.Increment("counter").ok());
 }
 
+TEST(FaultyKvDatabaseTest, VersionProbeDrawsFaultsLikeGetVersioned) {
+  // Same plan, same inner contents: a GetVersionedIfChanged sequence fails on
+  // exactly the calls a GetVersioned sequence fails on, and leaves both the
+  // decorator's and the inner database's counters equal.
+  FaultPlan plan;
+  plan.get_failure_rate = 0.3;
+  plan.seed = 99;
+  InMemoryKvDatabase inner_probed;
+  InMemoryKvDatabase inner_plain;
+  FaultyKvDatabase probed(inner_probed, plan);
+  FaultyKvDatabase plain(inner_plain, plan);
+  ASSERT_TRUE(probed.Put("k", {1, 2, 3}).ok());
+  ASSERT_TRUE(plain.Put("k", {1, 2, 3}).ok());
+  int failures = 0;
+  for (uint64_t i = 0; i < 200; ++i) {
+    auto a = probed.GetVersionedIfChanged("k", i % 2);  // Alternate hit and miss.
+    auto b = plain.GetVersioned("k");
+    ASSERT_EQ(a.status().code(), b.status().code()) << "call " << i;
+    if (!a.ok()) {
+      ++failures;
+      continue;
+    }
+    EXPECT_EQ(a->version, b->version);
+    EXPECT_EQ(a->value.empty(), i % 2 == 1);
+  }
+  EXPECT_GT(failures, 0);
+  EXPECT_EQ(probed.stats().faults_injected, plain.stats().faults_injected);
+  EXPECT_EQ(inner_probed.accounting().reads, inner_plain.accounting().reads);
+}
+
 TEST(FaultyKvDatabaseTest, CasCountsAsWrite) {
   InMemoryKvDatabase inner;
   FaultPlan plan;

@@ -140,6 +140,81 @@ TEST(KvDatabaseTest, AccountingCounts) {
   EXPECT_EQ(acc.cas_conflicts, 1u);
 }
 
+TEST(KvDatabaseTest, GetVersionedIfChangedSkipsTheValueOnAMatch) {
+  InMemoryKvDatabase db;
+  ASSERT_TRUE(db.Put("k", Value("blob")).ok());
+  ASSERT_TRUE(db.Put("k", Value("blob2")).ok());  // Version 2.
+
+  auto same = db.GetVersionedIfChanged("k", 2);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->version, 2u);
+  EXPECT_TRUE(same->value.empty());
+
+  for (const uint64_t known : {0u, 1u, 3u}) {
+    auto changed = db.GetVersionedIfChanged("k", known);
+    ASSERT_TRUE(changed.ok());
+    EXPECT_EQ(changed->version, 2u);
+    EXPECT_EQ(AsString(changed->value), "blob2") << "known " << known;
+  }
+  EXPECT_EQ(db.GetVersionedIfChanged("absent", 1).status().code(), StatusCode::kNotFound);
+}
+
+TEST(KvDatabaseTest, GetVersionedIfChangedCountsReadsLikeGetVersioned) {
+  // Accounting feeds digest-covered reports: the probe must bump `reads`
+  // exactly as GetVersioned does, hit or miss, present or absent.
+  InMemoryKvDatabase probed;
+  InMemoryKvDatabase plain;
+  for (InMemoryKvDatabase* db : {&probed, &plain}) {
+    ASSERT_TRUE(db->Put("k", Value("v")).ok());
+  }
+  (void)probed.GetVersionedIfChanged("k", 1);
+  (void)probed.GetVersionedIfChanged("k", 7);
+  (void)probed.GetVersionedIfChanged("missing", 1);
+  for (int i = 0; i < 3; ++i) {
+    (void)plain.GetVersioned(i == 2 ? "missing" : "k");
+  }
+  EXPECT_EQ(probed.accounting().reads, plain.accounting().reads);
+  EXPECT_EQ(probed.accounting().reads, 3u);
+}
+
+TEST(KvDatabaseTest, GetVersionedIfChangedDefaultForwardsToGetVersioned) {
+  // A database that overrides only the pure virtuals still answers the
+  // probe, always with the full value.
+  class Forwarding final : public KvDatabase {
+   public:
+    explicit Forwarding(KvDatabase& inner) : inner_(inner) {}
+    Status Put(std::string_view key, std::vector<uint8_t> value) override {
+      return inner_.Put(key, std::move(value));
+    }
+    Result<std::vector<uint8_t>> Get(std::string_view key) override { return inner_.Get(key); }
+    Result<VersionedValue> GetVersioned(std::string_view key) override {
+      ++versioned_reads;
+      return inner_.GetVersioned(key);
+    }
+    Status CompareAndSwap(std::string_view key, uint64_t expected,
+                          std::vector<uint8_t> value) override {
+      return inner_.CompareAndSwap(key, expected, std::move(value));
+    }
+    Status Delete(std::string_view key) override { return inner_.Delete(key); }
+    Result<int64_t> Increment(std::string_view key) override { return inner_.Increment(key); }
+    std::vector<std::string> ListKeys(std::string_view prefix) const override {
+      return inner_.ListKeys(prefix);
+    }
+    KvAccounting accounting() const override { return inner_.accounting(); }
+    int versioned_reads = 0;
+
+   private:
+    KvDatabase& inner_;
+  };
+  InMemoryKvDatabase inner;
+  Forwarding db(inner);
+  ASSERT_TRUE(db.Put("k", Value("full")).ok());
+  auto got = db.GetVersionedIfChanged("k", 1);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(AsString(got->value), "full");
+  EXPECT_EQ(db.versioned_reads, 1);
+}
+
 TEST(KvDatabaseTest, ValuesAreIndependentCopies) {
   InMemoryKvDatabase db;
   std::vector<uint8_t> original = Value("abc");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/store/fault_injection.h"
 
 namespace pronghorn {
@@ -46,6 +47,124 @@ TEST(PolicyStateCodecTest, RejectsTrailingBytes) {
   auto encoded = EncodePolicyState(state);
   encoded.push_back(0x00);
   EXPECT_FALSE(DecodePolicyState(encoded).ok());
+}
+
+// The per-element encoder EncodePolicyState replaced, kept verbatim: one
+// WriteDouble per theta entry and every pool field re-encoded on each call.
+std::vector<uint8_t> ReferenceEncode(const PolicyState& state) {
+  ByteWriter writer;
+  writer.WriteUint32(3);
+  writer.WriteVarint(state.theta.length());
+  for (uint32_t i = 0; i < state.theta.length(); ++i) {
+    writer.WriteDouble(state.theta.At(i));
+  }
+  writer.WriteVarint(state.pool.entries().size());
+  for (const PoolEntry& entry : state.pool.entries()) {
+    writer.WriteUint64(entry.metadata.id.value);
+    writer.WriteString(entry.metadata.function);
+    writer.WriteVarint(entry.metadata.request_number);
+    writer.WriteVarint(entry.metadata.logical_size_bytes);
+    writer.WriteInt64(entry.metadata.created_at.ToMicros());
+    writer.WriteString(entry.object_key);
+  }
+  writer.WriteVarint(state.restore_failures.size());
+  for (const auto& [id, count] : state.restore_failures) {
+    writer.WriteVarint(id);
+    writer.WriteVarint(count);
+  }
+  writer.WriteVarint(state.commit_marks.size());
+  for (const auto& [scope, mark] : state.commit_marks) {
+    writer.WriteVarint(scope);
+    writer.WriteVarint(mark);
+  }
+  return writer.TakeData();
+}
+
+PolicyState RandomState(Rng& rng) {
+  PolicyState state(TestConfig());
+  if (rng.Bernoulli(0.75)) {  // Otherwise theta stays all zero.
+    for (uint64_t i = 0; i < state.theta.length(); ++i) {
+      if (rng.Bernoulli(0.6)) {
+        state.theta.Update(i, 1e-4 + rng.UniformDouble(), 0.3);
+      }
+    }
+  }
+  const uint64_t pool_size = rng.UniformUint64(17);
+  for (uint64_t n = 0; n < pool_size; ++n) {
+    PoolEntry entry = Entry(rng.NextUint64(), rng.UniformUint64(1ULL << 40));
+    entry.metadata.function = std::string(rng.UniformUint64(200), 'f');
+    entry.metadata.logical_size_bytes = rng.NextUint64() >> rng.UniformUint64(64);
+    entry.metadata.created_at =
+        TimePoint::FromMicros(static_cast<int64_t>(rng.NextUint64() >> 1) * -1);
+    (void)state.pool.Add(std::move(entry));
+  }
+  const uint64_t failures = rng.UniformUint64(5);
+  for (uint64_t n = 0; n < failures; ++n) {
+    state.restore_failures[rng.NextUint64() >> rng.UniformUint64(64)] =
+        static_cast<uint32_t>(rng.NextUint64());
+  }
+  const uint64_t marks = rng.UniformUint64(5);
+  for (uint64_t n = 0; n < marks; ++n) {
+    state.commit_marks[static_cast<uint32_t>(rng.NextUint64())] = rng.NextUint64();
+  }
+  return state;
+}
+
+TEST(PolicyStateCodecTest, EncodingIsByteIdenticalToPerElementReference) {
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    PolicyState state = RandomState(rng);
+    const std::vector<uint8_t> reference = ReferenceEncode(state);
+    ASSERT_EQ(EncodePolicyState(state), reference) << "trial " << trial;
+    // Second encode splices the memoized pool section.
+    ASSERT_EQ(EncodePolicyState(state), reference) << "trial " << trial;
+    // A copy shares the memo and encodes the same bytes.
+    const PolicyState copy = state;
+    ASSERT_EQ(EncodePolicyState(copy), reference) << "trial " << trial;
+    // A learn-only update keeps the memo; the theta bytes must still move.
+    state.theta.Update(rng.UniformUint64(state.theta.length()), 0.5, 0.3);
+    ASSERT_EQ(EncodePolicyState(state), ReferenceEncode(state)) << "trial " << trial;
+    // Round trip through the decoder.
+    auto decoded = DecodePolicyState(reference);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(*decoded, copy);
+  }
+}
+
+TEST(PolicyStateCodecTest, DecodeRejectsNegativeLatency) {
+  PolicyState state(TestConfig());
+  state.theta.Update(2, 0.25, 0.3);
+  std::vector<uint8_t> encoded = EncodePolicyState(state);
+  // Version (4 bytes) + theta length varint (1 byte) precede theta[0]; set
+  // the sign bit of theta[2].
+  encoded[4 + 1 + 2 * 8 + 7] |= 0x80;
+  EXPECT_EQ(DecodePolicyState(encoded).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(PolicyStateStoreTest, CacheHitReadsVersionWithoutCopyingTheBlob) {
+  // The cached store probes with GetVersionedIfChanged: one read per Load or
+  // Update exactly like GetVersioned, and the trajectory matches a store
+  // with the cache off.
+  InMemoryKvDatabase db_cached;
+  InMemoryKvDatabase db_plain;
+  PolicyStateStore cached(db_cached, "fn", TestConfig());
+  PolicyStateStore plain(db_plain, "fn", TestConfig(), nullptr, StateStoreRetryPolicy{},
+                         /*enable_cache=*/false);
+  for (int i = 0; i < 12; ++i) {
+    const auto learn = [i](PolicyState& state) {
+      state.theta.Update(static_cast<uint64_t>(i % 7), 0.01 * (i + 1), 0.3);
+      if (i % 4 == 0) {
+        (void)state.pool.Add(Entry(static_cast<uint64_t>(i + 1), 3));
+      }
+    };
+    ASSERT_TRUE(cached.Update(learn).ok());
+    ASSERT_TRUE(plain.Update(learn).ok());
+    ASSERT_EQ(*cached.Load(), *plain.Load());
+  }
+  EXPECT_GT(cached.cache_stats().hits, 0u);
+  EXPECT_EQ(db_cached.accounting().reads, db_plain.accounting().reads);
+  EXPECT_EQ(db_cached.GetVersioned("policy/fn/state")->value,
+            db_plain.GetVersioned("policy/fn/state")->value);
 }
 
 TEST(PolicyStateStoreTest, LoadFreshStateWhenAbsent) {

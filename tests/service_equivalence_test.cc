@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/request_centric_policy.h"
@@ -118,6 +119,44 @@ TEST(ServiceEquivalenceTest, FleetDigestIdenticalServiceOnOffFaultFree) {
       options.threads = threads;
       options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
       options.eviction.k = 4;
+      ApplyVariant(options, variant);
+      auto report = Simulate(registry, SimTopology::kFleet, specs, options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      digests.push_back(report->Digest());
+    }
+  }
+  for (const uint32_t digest : digests) {
+    EXPECT_EQ(digest, digests.front());
+  }
+}
+
+TEST(ServiceEquivalenceTest, FleetWithRepeatedProfilesBindsEachDeploymentOnce) {
+  // 16 deployments cycling the evaluation profiles, so several shards run
+  // the same profile concurrently. Each shard's deployment is named after its
+  // profile, but binds to the shared service under its fleet deployment name;
+  // binding under the profile name made two such shards collide ("function
+  // ... is not bound") as soon as they overlapped.
+  const auto policy = RequestCentricPolicy::Create(TestConfig());
+  ASSERT_TRUE(policy.ok());
+  const auto& registry = WorkloadRegistry::Default();
+  const auto evaluation = registry.EvaluationSet();
+  std::vector<SimFunctionSpec> specs;
+  for (size_t i = 0; i < 16; ++i) {
+    SimFunctionSpec spec;
+    spec.profile = evaluation[i % evaluation.size()];
+    spec.name = "f" + std::to_string(i) + "-" + spec.profile->name;
+    spec.policy = &*policy;
+    spec.requests = 120;
+    specs.push_back(spec);
+  }
+  ASSERT_LT(evaluation.size(), specs.size());  // Some profile repeats.
+
+  std::vector<uint32_t> digests;
+  for (const uint32_t threads : {1u, 4u}) {
+    for (const ServiceVariant& variant : kVariants) {
+      SimOptions options;
+      options.seed = 1;
+      options.threads = threads;
       ApplyVariant(options, variant);
       auto report = Simulate(registry, SimTopology::kFleet, specs, options);
       ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/common/bytes.h"
+#include "src/common/rng.h"
 
 namespace pronghorn {
 namespace {
@@ -191,6 +192,100 @@ TEST(SnapshotPoolTest, DeserializeRejectsDuplicates) {
   }
   ByteReader reader(writer.data());
   EXPECT_FALSE(SnapshotPool::Deserialize(reader).ok());
+}
+
+// The per-field encoder the memoized section replaced, kept verbatim.
+std::vector<uint8_t> ReferenceSection(const SnapshotPool& pool) {
+  ByteWriter writer;
+  writer.WriteVarint(pool.entries().size());
+  for (const PoolEntry& entry : pool.entries()) {
+    writer.WriteUint64(entry.metadata.id.value);
+    writer.WriteString(entry.metadata.function);
+    writer.WriteVarint(entry.metadata.request_number);
+    writer.WriteVarint(entry.metadata.logical_size_bytes);
+    writer.WriteInt64(entry.metadata.created_at.ToMicros());
+    writer.WriteString(entry.object_key);
+  }
+  return writer.TakeData();
+}
+
+std::vector<uint8_t> Serialized(const SnapshotPool& pool) {
+  ByteWriter writer;
+  pool.Serialize(writer);
+  EXPECT_EQ(writer.size(), pool.SerializedSize());
+  return writer.TakeData();
+}
+
+TEST(SnapshotPoolMemoTest, EveryMutatorDropsTheSection) {
+  SnapshotPool pool;
+  for (uint64_t id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(pool.Add(Entry(id, id * 3)).ok());
+  }
+  const auto expect_fresh = [&](const char* step) {
+    EXPECT_FALSE(pool.section_memoized()) << step;
+    EXPECT_EQ(Serialized(pool), ReferenceSection(pool)) << step;
+    EXPECT_TRUE(pool.section_memoized()) << step;
+    EXPECT_EQ(Serialized(pool), ReferenceSection(pool)) << step << " (memo hit)";
+  };
+  expect_fresh("initial");
+
+  ASSERT_TRUE(pool.Add(Entry(6, 18)).ok());
+  expect_fresh("after Add");
+
+  // Failed mutations change nothing, so the memo may stay.
+  EXPECT_FALSE(pool.Add(Entry(6, 18)).ok());
+  EXPECT_FALSE(pool.Remove(SnapshotId{99}));
+  EXPECT_EQ(Serialized(pool), ReferenceSection(pool));
+
+  EXPECT_TRUE(pool.Remove(SnapshotId{2}));
+  expect_fresh("after Remove");
+
+  Rng rng(5);
+  const std::vector<double> weights = {5, 4, 3, 2, 1};
+  EXPECT_FALSE(pool.Prune(weights, 40.0, 0.0, rng).empty());
+  expect_fresh("after Prune");
+
+  ByteWriter writer;
+  pool.Serialize(writer);
+  ByteReader reader(writer.data());
+  auto decoded = SnapshotPool::Deserialize(reader);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->section_memoized());
+  EXPECT_EQ(Serialized(*decoded), writer.data());
+}
+
+TEST(SnapshotPoolMemoTest, CopiesShareTheSectionUntilOneMutates) {
+  SnapshotPool pool;
+  ASSERT_TRUE(pool.Add(Entry(1, 4)).ok());
+  ASSERT_TRUE(pool.Add(Entry(2, 8)).ok());
+  const std::vector<uint8_t> before = Serialized(pool);
+
+  SnapshotPool copy = pool;
+  EXPECT_TRUE(copy.section_memoized());
+  EXPECT_EQ(copy, pool);
+  ASSERT_TRUE(copy.Add(Entry(3, 12)).ok());
+  EXPECT_FALSE(copy.section_memoized());
+  EXPECT_TRUE(pool.section_memoized());
+  EXPECT_EQ(Serialized(pool), before);  // The original is untouched.
+  EXPECT_EQ(Serialized(copy), ReferenceSection(copy));
+
+  // The other way round: the original rebuilds while a copy still shares its
+  // buffer, so the rebuild must not write into that buffer.
+  const SnapshotPool sharer = pool;
+  EXPECT_TRUE(pool.Remove(SnapshotId{1}));
+  EXPECT_EQ(Serialized(pool), ReferenceSection(pool));
+  EXPECT_EQ(Serialized(sharer), before);
+}
+
+TEST(SnapshotPoolMemoTest, EqualityIgnoresTheMemo) {
+  SnapshotPool a;
+  SnapshotPool b;
+  ASSERT_TRUE(a.Add(Entry(1, 4)).ok());
+  ASSERT_TRUE(b.Add(Entry(1, 4)).ok());
+  (void)Serialized(a);
+  EXPECT_TRUE(a.section_memoized());
+  EXPECT_FALSE(b.section_memoized());
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

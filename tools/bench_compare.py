@@ -18,6 +18,9 @@ never fail. Metrics only in the current run are reported as new; metrics
 only in the baseline fail the run (a silently dropped metric is how a
 regression hides).
 
+The two files must agree on schema_version: metrics of different schemas
+need not mean the same thing, so a mismatch fails the run outright.
+
 When the two files were produced on machines with different hardware thread
 counts, absolute comparison is meaningless; the tool then only checks that
 every baseline metric still exists and that determinism_ok holds, and says so
@@ -25,8 +28,9 @@ loudly. This keeps the committed single-core baseline from failing CI's
 multi-core runners while still gating on coverage and correctness.
 
 `--self-test` proves the gate actually trips: it synthesizes a 20% regression
-of every metric from the baseline and asserts the comparison fails, then
-re-compares the baseline against itself and asserts it passes.
+of every metric from the baseline and asserts the comparison fails, asserts
+that a copy with a different schema_version fails, then re-compares the
+baseline against itself and asserts it passes.
 """
 
 import argparse
@@ -54,6 +58,13 @@ def compare(baseline, current, budget):
 
     if not current.get("determinism_ok", True):
         failures.append("determinism_ok is false in the current run")
+
+    base_schema = baseline.get("schema_version")
+    cur_schema = current.get("schema_version")
+    if base_schema != cur_schema:
+        failures.append(
+            f"schema_version differs: baseline {base_schema!r}, current {cur_schema!r}"
+        )
 
     base_metrics = metric_map(baseline)
     cur_metrics = metric_map(current)
@@ -129,6 +140,13 @@ def self_test(baseline_path, budget):
         print("self-test FAILED: a synthetic 20% regression passed the gate", file=sys.stderr)
         return 1
 
+    other_schema = copy.deepcopy(baseline)
+    other_schema["schema_version"] = baseline.get("schema_version", 0) + 1
+    schema_failures, _ = compare(baseline, other_schema, budget)
+    if not any("schema_version" in failure for failure in schema_failures):
+        print("self-test FAILED: a schema_version mismatch passed the gate", file=sys.stderr)
+        return 1
+
     identical_failures, _ = compare(baseline, copy.deepcopy(baseline), budget)
     if identical_failures:
         print("self-test FAILED: a baseline compared against itself did not pass:", file=sys.stderr)
@@ -138,7 +156,8 @@ def self_test(baseline_path, budget):
 
     print(
         f"self-test OK: synthetic 20% regression trips the {budget * 100.0:.0f}% gate "
-        f"({len(failures)} metrics flagged); identity comparison passes"
+        f"({len(failures)} metrics flagged); a schema_version mismatch fails; "
+        "identity comparison passes"
     )
     return 0
 

@@ -52,9 +52,9 @@ WorkloadProfile SensitiveProfile() {
 class Deployment {
  public:
   Deployment(const WorkloadProfile& profile, const WorkloadRegistry& registry,
-             const OrchestrationPolicy& policy, KvDatabase& db, ObjectStore& store,
-             CheckpointEngine& engine, SimClock& clock, std::string scope,
-             uint64_t seed)
+             const OrchestrationPolicy& policy, KvDatabase& db,
+             InMemoryObjectStore& store, CheckpointEngine& engine, SimClock& clock,
+             std::string scope, uint64_t seed)
       : state_store_(db, std::move(scope), policy.config()),
         snapshot_store_(store),
         orchestrator_(profile, registry, policy, engine, snapshot_store_,

@@ -3,8 +3,7 @@
 // CSV (the interchange format for real traces), loads it back, and replays
 // it against a platform hosting all three functions at once — once per
 // orchestration policy — with a shared Database/Object Store, a 10-minute
-// idle timeout, and a 20-minute max worker lifetime. Snapshots of one run
-// are archived to a file-backed object store for inspection.
+// idle timeout, and a 20-minute max worker lifetime.
 
 #include <cstdio>
 #include <filesystem>
@@ -13,7 +12,6 @@
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/platform_simulation.h"
-#include "src/store/object_store.h"
 #include "src/trace/trace_generator.h"
 
 using namespace pronghorn;
@@ -107,19 +105,5 @@ int main(int argc, char** argv) {
                 static_cast<double>(report->object_store.peak_logical_bytes) /
                     1048576.0);
   }
-
-  // 4. Demonstrate the durable object store: archive a marker object.
-  const std::string store_dir =
-      (std::filesystem::temp_directory_path() / "pronghorn_snapshots").string();
-  auto store = FileBackedObjectStore::Open(store_dir);
-  if (!store.ok()) {
-    return Fail(store.status());
-  }
-  ObjectBlob blob({0xca, 0xfe}, 2);
-  if (Status s = (*store)->Put("examples/marker", std::move(blob)); !s.ok()) {
-    return Fail(s);
-  }
-  std::printf("\nfile-backed object store at %s now holds %zu object(s)\n",
-              store_dir.c_str(), (*store)->ListKeys("").size());
   return 0;
 }

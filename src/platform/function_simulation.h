@@ -52,7 +52,7 @@ class FunctionSimulation {
 
   // Read-only access for tests and exhibits.
   const KvDatabase& database() const { return env_.raw_database(); }
-  const ObjectStore& object_store() const { return env_.raw_object_store(); }
+  const InMemoryObjectStore& object_store() const { return env_.raw_object_store(); }
   const CheckpointEngine& engine() const { return env_.engine(0); }
   const PolicyStateStore& state_store() const { return env_.state_store(0); }
   Orchestrator& orchestrator() { return env_.orchestrator(0, 0); }

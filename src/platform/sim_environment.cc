@@ -47,50 +47,35 @@ SimEnvironment::SimEnvironment(const WorkloadRegistry& registry, SimOptions opti
                      ? std::optional<FaultyKvDatabase>(
                            std::in_place, db_,
                            ScopePlan(options.faults, options.seed, 0xdbULL), &clock_)
-                     : std::nullopt),
-      faulty_object_store_(
-          options.faults.Active() &&
-                  options.store.kind == SnapshotStoreOptions::Kind::kFlat
-              ? std::optional<FaultyObjectStore>(
-                    std::in_place, object_store_,
-                    ScopePlan(options.faults, options.seed, 0x0bULL), &clock_)
-              : std::nullopt) {
-  // The snapshot store every orchestrator talks to. Flat builds layer the
-  // compatibility adapter over the (possibly fault-decorated) ObjectStore —
-  // bit-identical to the historical wiring by construction. Dedup builds are
-  // self-contained; under chaos they wrap in FaultySnapshotStore, which is
-  // seeded with the SAME scoped plan (salt 0x0b) as the flat decorator so
-  // the fault trajectories coincide draw for draw.
+                     : std::nullopt) {
+  // The snapshot store every orchestrator talks to: the flat whole-blob store
+  // over object_store_ or a self-contained DedupSnapshotStore, wrapped under
+  // chaos in the one store fault decorator. Its draws depend only on the
+  // logical operation sequence, so both builds replay one fault trajectory.
   if (options_.store.kind == SnapshotStoreOptions::Kind::kDedup) {
     base_snapshot_store_ = std::make_unique<DedupSnapshotStore>(options_.store, &clock_);
-    if (options_.faults.Active()) {
-      faulty_snapshot_store_.emplace(*base_snapshot_store_,
-                                     ScopePlan(options_.faults, options_.seed, 0x0bULL),
-                                     &clock_);
-    }
   } else {
-    base_snapshot_store_ = std::make_unique<FlatSnapshotStore>(active_object_store());
+    base_snapshot_store_ = std::make_unique<FlatSnapshotStore>(object_store_);
+  }
+  if (options_.faults.Active()) {
+    faulty_snapshot_store_.emplace(*base_snapshot_store_,
+                                   ScopePlan(options_.faults, options_.seed, 0x0bULL),
+                                   &clock_);
   }
   // Fault events from the shared stores cannot be attributed to one
   // deployment, so the decorators get their own trace process with a lane
   // per store. Obs data is write-only for the kernel: nothing here feeds
   // back into simulation state or digests.
-  const bool dedup_obs =
-      options_.store.kind == SnapshotStoreOptions::Kind::kDedup;
-  if (options_.obs != nullptr &&
-      (faulty_db_.has_value() || faulty_object_store_.has_value() || dedup_obs)) {
+  const bool store_obs = faulty_snapshot_store_.has_value() ||
+                         options_.store.kind == SnapshotStoreOptions::Kind::kDedup;
+  if (options_.obs != nullptr && (faulty_db_.has_value() || store_obs)) {
     const uint32_t pid = options_.obs->RegisterProcess("stores");
-    if (faulty_object_store_.has_value() || dedup_obs) {
+    if (store_obs) {
       const ObsTrack track{pid, 0};
       options_.obs->RegisterThread(track, "object store");
-      if (faulty_object_store_.has_value()) {
-        faulty_object_store_->set_obs(options_.obs, track);
-      }
-      if (dedup_obs) {
-        // Reaches the inner dedup store too (chunk_fetch spans), through the
-        // decorator's forwarding set_obs when chaos is on.
-        active_snapshot_store().set_obs(options_.obs, track);
-      }
+      // Reaches the inner dedup store too (chunk_fetch spans), through the
+      // decorator's forwarding set_obs when chaos is on.
+      active_snapshot_store().set_obs(options_.obs, track);
     }
     if (faulty_db_.has_value()) {
       const ObsTrack track{pid, 1};
@@ -139,12 +124,6 @@ uint64_t SimEnvironment::DeploymentSeed(uint64_t seed, std::string_view name) {
 KvDatabase& SimEnvironment::active_database() {
   return faulty_db_.has_value() ? static_cast<KvDatabase&>(*faulty_db_)
                                 : static_cast<KvDatabase&>(db_);
-}
-
-ObjectStore& SimEnvironment::active_object_store() {
-  return faulty_object_store_.has_value()
-             ? static_cast<ObjectStore&>(*faulty_object_store_)
-             : static_cast<ObjectStore&>(object_store_);
 }
 
 SnapshotStore& SimEnvironment::active_snapshot_store() {
@@ -405,20 +384,7 @@ EnvironmentReport SimEnvironment::TakeReport() {
     MergeFaultRecoveryStats(out.faults, report.faults);
     out.per_function.emplace(deployment.name, std::move(report));
   }
-  // The base snapshot store's accounting: for a flat build this is exactly
-  // object_store_.accounting(); for a dedup build it carries the chunk-level
-  // physical view alongside the identical digest-covered logical fields.
-  out.object_store = base_snapshot_store_->accounting();
-  out.database = db_.accounting();
-  if (faulty_object_store_.has_value()) {
-    AccumulateStoreFaults(out.faults, faulty_object_store_->stats());
-  }
-  if (faulty_snapshot_store_.has_value()) {
-    AccumulateStoreFaults(out.faults, faulty_snapshot_store_->stats());
-  }
-  if (faulty_db_.has_value()) {
-    AccumulateDatabaseFaults(out.faults, faulty_db_->stats());
-  }
+  FoldSharedStores(out);
   return out;
 }
 
@@ -427,18 +393,22 @@ SimulationReport SimEnvironment::TakeFlatReport() {
   SimulationReport report = std::move(deployment.report);
   deployment.report = SimulationReport{};
   FinishReport(deployment, report);
+  FoldSharedStores(report);
+  return report;
+}
+
+void SimEnvironment::FoldSharedStores(ReportCore& report) const {
+  // The base snapshot store's accounting: for a flat build this is exactly
+  // object_store_.accounting(); for a dedup build it carries the chunk-level
+  // physical view alongside the identical digest-covered logical fields.
   report.object_store = base_snapshot_store_->accounting();
   report.database = db_.accounting();
-  if (faulty_object_store_.has_value()) {
-    AccumulateStoreFaults(report.faults, faulty_object_store_->stats());
-  }
   if (faulty_snapshot_store_.has_value()) {
     AccumulateStoreFaults(report.faults, faulty_snapshot_store_->stats());
   }
   if (faulty_db_.has_value()) {
     AccumulateDatabaseFaults(report.faults, faulty_db_->stats());
   }
-  return report;
 }
 
 Result<size_t> SimEnvironment::DeploymentIndex(std::string_view name) const {

@@ -1,11 +1,11 @@
 // The shared simulation environment behind every driver: one control plane.
 //
-// A SimEnvironment owns the global stores (Database + Object Store), the
-// optional fault decorators around them, the simulated clock, and any number
-// of function deployments. Each deployment owns its checkpoint engine,
-// policy-state scope, input model, client RNG, and a row of SimCore worker
-// slots (the first `exploring_slots` run the exploring policy, the rest a
-// frozen exploit-only wrapper). The four public drivers are thin
+// A SimEnvironment owns the global stores (Database + snapshot store), the
+// optional fault decorators around them (one per store), the simulated
+// clock, and any number of function deployments. Each deployment owns its
+// checkpoint engine, policy-state scope, input model, client RNG, and a row
+// of SimCore worker slots (the first `exploring_slots` run the exploring
+// policy, the rest a frozen exploit-only wrapper). The four public drivers are thin
 // configurations of this class:
 //
 //   FunctionSimulation  — one deployment, one slot
@@ -171,9 +171,9 @@ class SimEnvironment {
   }
 
   // Read-only store access for tests and exhibits (the raw in-memory stores,
-  // not the fault decorators).
+  // not the fault decorators). The object store backs flat builds only.
   const KvDatabase& raw_database() const { return db_; }
-  const ObjectStore& raw_object_store() const { return object_store_; }
+  const InMemoryObjectStore& raw_object_store() const { return object_store_; }
   // The snapshot store the deployments actually talk to (fault decorator
   // included when chaos is on).
   SnapshotStore& snapshot_store() { return active_snapshot_store(); }
@@ -215,12 +215,14 @@ class SimEnvironment {
   };
 
   KvDatabase& active_database();
-  ObjectStore& active_object_store();
   SnapshotStore& active_snapshot_store();
   // Builds the request, draws its input scale, and serves it on `slot`.
   Status Dispatch(Deployment& deployment, SimCore& slot, TimePoint arrival);
   // Folds cumulative orchestrator/state-store stats into an epoch report.
   void FinishReport(Deployment& deployment, SimulationReport& report);
+  // Folds the shared stores' accounting and decorator fault stats into a
+  // report.
+  void FoldSharedStores(ReportCore& report) const;
 
   const WorkloadRegistry& registry_;
   SimOptions options_;
@@ -229,16 +231,12 @@ class SimEnvironment {
   InMemoryKvDatabase db_;
   InMemoryObjectStore object_store_;
   // Engaged only when options.faults is active; deployments then talk to the
-  // stores through these decorators. The object-store decorator exists only
-  // for flat store builds — a dedup build routes chaos through
-  // faulty_snapshot_store_ instead (same salt, same draw order).
+  // stores through these decorators.
   std::optional<FaultyKvDatabase> faulty_db_;
-  std::optional<FaultyObjectStore> faulty_object_store_;
-  // The snapshot store behind every orchestrator: the flat compatibility
-  // adapter over active_object_store(), or a DedupSnapshotStore, per
-  // options.store.kind.
+  // The snapshot store behind every orchestrator: a FlatSnapshotStore over
+  // object_store_, or a DedupSnapshotStore, per options.store.kind.
   std::unique_ptr<SnapshotStore> base_snapshot_store_;
-  // Chaos decorator for dedup builds (flat builds inject below the adapter).
+  // The one store fault decorator, over either base store.
   std::optional<FaultySnapshotStore> faulty_snapshot_store_;
   std::vector<Deployment> deployments_;
   uint64_t next_request_id_ = 1;

@@ -184,10 +184,9 @@ struct SimOptions {
   // comparison and for --no-state-cache.
   bool state_cache = true;
 
-  // How each deployment's snapshot store is built: the flat compatibility
-  // adapter (default; bit-identical to the historical ObjectStore path) or
-  // the content-addressed DedupSnapshotStore with optional CDC chunking and
-  // REAP-style lazy restore. Digest-neutral: only the digest-excluded
+  // How each deployment's snapshot store is built: the flat whole-blob store
+  // (default) or the content-addressed DedupSnapshotStore with optional CDC
+  // chunking and REAP-style lazy restore. Digest-neutral: only the digest-excluded
   // physical accounting differs between kinds.
   SnapshotStoreOptions store;
 

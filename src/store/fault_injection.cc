@@ -47,39 +47,52 @@ bool FaultPlan::Active() const {
          !windows.empty();
 }
 
-// --- FaultyObjectStore -------------------------------------------------------
+// --- FaultGate ----------------------------------------------------------------
 
-void FaultyObjectStore::NoteFault(const char* counter, const char* event) const {
-  if (obs_ == nullptr) {
+void FaultGate::NoteFault(const char* counter, const char* event) const {
+  if (obs == nullptr) {
     return;
   }
-  obs_->Counter(counter, 1);
+  obs->Counter(counter, 1);
   if (event != nullptr) {
-    obs_->Instant(obs_track_, event, "fault",
-                  clock_ != nullptr ? clock_->now() : TimePoint());
+    obs->Instant(obs_track, event, "fault",
+                 clock != nullptr ? clock->now() : TimePoint());
   }
 }
 
-bool FaultyObjectStore::ShouldFail(double rate) const {
-  if (InOutage(plan_, clock_, FaultDomain::kObjectStore, stats_)) {
-    stats_.faults_injected += 1;
-    stats_.outage_faults += 1;
-    NoteFault("faults.store.injected", "fault:store_outage");
+bool FaultGate::ShouldFail(double rate) {
+  if (InOutage(plan, clock, domain, stats)) {
+    stats.faults_injected += 1;
+    stats.outage_faults += 1;
+    NoteFault(names.injected, names.outage_event);
     return true;
   }
-  if (rng_.Bernoulli(rate)) {
-    stats_.faults_injected += 1;
-    NoteFault("faults.store.injected", "fault:store");
+  if (rng.Bernoulli(rate)) {
+    stats.faults_injected += 1;
+    NoteFault(names.injected, names.rate_event);
     return true;
   }
   return false;
 }
 
-Status FaultyObjectStore::Put(std::string_view key, ObjectBlob blob) {
-  if (ShouldFail(plan_.put_failure_rate)) {
+bool FaultGate::MetadataFault() {
+  if (!ShouldFail(plan.metadata_failure_rate)) {
+    return false;
+  }
+  stats.metadata_faults += 1;
+  return true;
+}
+
+// --- FaultySnapshotStore -----------------------------------------------------
+
+Result<SnapshotRef> FaultySnapshotStore::PutSnapshot(std::string_view key,
+                                                     ObjectBlob blob) {
+  // Draw order per put: fail check, torn check, corruption check (+ one bit
+  // draw when it fires).
+  if (gate_.ShouldFail(gate_.plan.put_failure_rate)) {
     return UnavailableError("injected object-store put failure");
   }
-  if (rng_.Bernoulli(plan_.torn_write_rate) && !blob.bytes().empty()) {
+  if (gate_.rng.Bernoulli(gate_.plan.torn_write_rate) && !blob.bytes().empty()) {
     // Partial upload: half the payload lands, the call still fails. The
     // stored garbage is an orphan until GC (or a successful rewrite) reaps it.
     // The half-payload copy is the fault's own private buffer — the caller's
@@ -88,126 +101,37 @@ Status FaultyObjectStore::Put(std::string_view key, ObjectBlob blob) {
     std::vector<uint8_t> half(
         payload.begin(),
         payload.begin() + static_cast<std::ptrdiff_t>(payload.size() / 2));
-    stats_.torn_puts += 1;
-    stats_.faults_injected += 1;
-    NoteFault("faults.store.torn_puts", "fault:torn_put");
-    (void)inner_.Put(key, ObjectBlob(std::move(half), blob.logical_size / 2));
-    return UnavailableError("injected torn object-store put");
-  }
-  if (rng_.Bernoulli(plan_.corruption_rate) && !blob.bytes().empty()) {
-    // Silent bit rot: flip one bit and report success. Only the snapshot
-    // image CRC can catch this, at restore time. Copy-on-corrupt: the
-    // payload is deep-copied only when this fault actually fires, so the
-    // zero-copy fast path stays intact for healthy puts.
-    std::vector<uint8_t> corrupted = blob.bytes();
-    FlipRandomBit(corrupted, rng_);
-    blob = ObjectBlob(std::move(corrupted), blob.logical_size);
-    stats_.corrupted_puts += 1;
-    NoteFault("faults.store.corrupted_puts", "fault:corrupted_put");
-  }
-  return inner_.Put(key, std::move(blob));
-}
-
-Result<ObjectBlob> FaultyObjectStore::Get(std::string_view key) {
-  if (ShouldFail(plan_.get_failure_rate)) {
-    return UnavailableError("injected object-store get failure");
-  }
-  return inner_.Get(key);
-}
-
-Status FaultyObjectStore::Delete(std::string_view key) {
-  if (ShouldFail(plan_.delete_failure_rate)) {
-    return UnavailableError("injected object-store delete failure");
-  }
-  return inner_.Delete(key);
-}
-
-bool FaultyObjectStore::Contains(std::string_view key) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
-    return false;  // The metadata index is unreachable.
-  }
-  return inner_.Contains(key);
-}
-
-std::vector<std::string> FaultyObjectStore::ListKeys(std::string_view prefix) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
-    return {};
-  }
-  return inner_.ListKeys(prefix);
-}
-
-// --- FaultySnapshotStore -----------------------------------------------------
-
-void FaultySnapshotStore::NoteFault(const char* counter, const char* event) const {
-  if (obs_ == nullptr) {
-    return;
-  }
-  obs_->Counter(counter, 1);
-  if (event != nullptr) {
-    obs_->Instant(obs_track_, event, "fault",
-                  clock_ != nullptr ? clock_->now() : TimePoint());
-  }
-}
-
-bool FaultySnapshotStore::ShouldFail(double rate) const {
-  if (InOutage(plan_, clock_, FaultDomain::kObjectStore, stats_)) {
-    stats_.faults_injected += 1;
-    stats_.outage_faults += 1;
-    NoteFault("faults.store.injected", "fault:store_outage");
-    return true;
-  }
-  if (rng_.Bernoulli(rate)) {
-    stats_.faults_injected += 1;
-    NoteFault("faults.store.injected", "fault:store");
-    return true;
-  }
-  return false;
-}
-
-Result<SnapshotRef> FaultySnapshotStore::PutSnapshot(std::string_view key,
-                                                     ObjectBlob blob) {
-  // Draw-for-draw the FaultyObjectStore::Put sequence: fail check, torn
-  // check, corruption check (+ one bit draw when it fires).
-  if (ShouldFail(plan_.put_failure_rate)) {
-    return UnavailableError("injected object-store put failure");
-  }
-  if (rng_.Bernoulli(plan_.torn_write_rate) && !blob.bytes().empty()) {
-    const std::vector<uint8_t>& payload = blob.bytes();
-    std::vector<uint8_t> half(
-        payload.begin(),
-        payload.begin() + static_cast<std::ptrdiff_t>(payload.size() / 2));
-    stats_.torn_puts += 1;
-    stats_.faults_injected += 1;
-    NoteFault("faults.store.torn_puts", "fault:torn_put");
+    gate_.stats.torn_puts += 1;
+    gate_.stats.faults_injected += 1;
+    gate_.NoteFault("faults.store.torn_puts", "fault:torn_put");
     (void)inner_.PutSnapshot(key, ObjectBlob(std::move(half), blob.logical_size / 2));
     return UnavailableError("injected torn object-store put");
   }
-  if (rng_.Bernoulli(plan_.corruption_rate) && !blob.bytes().empty()) {
-    // Whole-image bit rot *before* chunking: the damaged region lands in a
-    // chunk with a new content address (copy-on-write by construction), so
-    // siblings sharing the healthy chunk are untouched and the flat-path
-    // "image CRC catches it at restore" semantics carry over unchanged.
+  if (gate_.rng.Bernoulli(gate_.plan.corruption_rate) && !blob.bytes().empty()) {
+    // Silent whole-image bit rot *before* chunking: only the snapshot image
+    // CRC can catch it, at restore time. In a dedup store the damaged region
+    // lands in a chunk with a new content address (copy-on-write by
+    // construction), so siblings sharing the healthy chunk are untouched.
+    // The payload is deep-copied only when this fault fires.
     std::vector<uint8_t> corrupted = blob.bytes();
-    FlipRandomBit(corrupted, rng_);
+    FlipRandomBit(corrupted, gate_.rng);
     blob = ObjectBlob(std::move(corrupted), blob.logical_size);
-    stats_.corrupted_puts += 1;
-    NoteFault("faults.store.corrupted_puts", "fault:corrupted_put");
+    gate_.stats.corrupted_puts += 1;
+    gate_.NoteFault("faults.store.corrupted_puts", "fault:corrupted_put");
   }
   PRONGHORN_ASSIGN_OR_RETURN(SnapshotRef ref, inner_.PutSnapshot(key, std::move(blob)));
   // Chunk-granular at-rest faults fire after a successful put, on their own
   // RNG stream — the shared trajectory above never sees these draws.
-  if (chunk_rng_.Bernoulli(plan_.chunk_corruption_rate)) {
+  if (chunk_rng_.Bernoulli(gate_.plan.chunk_corruption_rate)) {
     if (inner_.CorruptChunk(key, chunk_rng_).ok()) {
-      stats_.corrupted_chunks += 1;
-      NoteFault("faults.store.corrupted_chunks", "fault:corrupted_chunk");
+      gate_.stats.corrupted_chunks += 1;
+      gate_.NoteFault("faults.store.corrupted_chunks", "fault:corrupted_chunk");
     }
   }
-  if (chunk_rng_.Bernoulli(plan_.manifest_corruption_rate)) {
+  if (chunk_rng_.Bernoulli(gate_.plan.manifest_corruption_rate)) {
     if (inner_.CorruptManifest(key, chunk_rng_).ok()) {
-      stats_.corrupted_manifests += 1;
-      NoteFault("faults.store.corrupted_manifests", "fault:corrupted_manifest");
+      gate_.stats.corrupted_manifests += 1;
+      gate_.NoteFault("faults.store.corrupted_manifests", "fault:corrupted_manifest");
     }
   }
   return ref;
@@ -215,31 +139,29 @@ Result<SnapshotRef> FaultySnapshotStore::PutSnapshot(std::string_view key,
 
 Result<std::unique_ptr<SnapshotReader>> FaultySnapshotStore::OpenSnapshot(
     std::string_view key) {
-  if (ShouldFail(plan_.get_failure_rate)) {
+  if (gate_.ShouldFail(gate_.plan.get_failure_rate)) {
     return UnavailableError("injected object-store get failure");
   }
   return inner_.OpenSnapshot(key);
 }
 
 Status FaultySnapshotStore::DeleteSnapshot(std::string_view key) {
-  if (ShouldFail(plan_.delete_failure_rate)) {
+  if (gate_.ShouldFail(gate_.plan.delete_failure_rate)) {
     return UnavailableError("injected object-store delete failure");
   }
   return inner_.DeleteSnapshot(key);
 }
 
 bool FaultySnapshotStore::ContainsSnapshot(std::string_view key) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
-    return false;
+  if (gate_.MetadataFault()) {
+    return false;  // The metadata index is unreachable.
   }
   return inner_.ContainsSnapshot(key);
 }
 
 std::vector<std::string> FaultySnapshotStore::ListSnapshots(
     std::string_view prefix) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
+  if (gate_.MetadataFault()) {
     return {};
   }
   return inner_.ListSnapshots(prefix);
@@ -247,79 +169,53 @@ std::vector<std::string> FaultySnapshotStore::ListSnapshots(
 
 // --- FaultyKvDatabase --------------------------------------------------------
 
-void FaultyKvDatabase::NoteFault(const char* counter, const char* event) const {
-  if (obs_ == nullptr) {
-    return;
-  }
-  obs_->Counter(counter, 1);
-  if (event != nullptr) {
-    obs_->Instant(obs_track_, event, "fault",
-                  clock_ != nullptr ? clock_->now() : TimePoint());
-  }
-}
-
-bool FaultyKvDatabase::ShouldFail(double rate) const {
-  if (InOutage(plan_, clock_, FaultDomain::kDatabase, stats_)) {
-    stats_.faults_injected += 1;
-    stats_.outage_faults += 1;
-    NoteFault("faults.db.injected", "fault:db_outage");
-    return true;
-  }
-  if (rng_.Bernoulli(rate)) {
-    stats_.faults_injected += 1;
-    NoteFault("faults.db.injected", "fault:db");
-    return true;
-  }
-  return false;
-}
-
 Status FaultyKvDatabase::MaybeFail(double rate, const char* operation) {
-  if (ShouldFail(rate)) {
+  if (gate_.ShouldFail(rate)) {
     return UnavailableError(std::string("injected database failure: ") + operation);
   }
   return OkStatus();
 }
 
 Status FaultyKvDatabase::Put(std::string_view key, std::vector<uint8_t> value) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.put_failure_rate, "put"));
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(gate_.plan.put_failure_rate, "put"));
   return inner_.Put(key, std::move(value));
 }
 
 Result<std::vector<uint8_t>> FaultyKvDatabase::Get(std::string_view key) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.get_failure_rate, "get"));
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(gate_.plan.get_failure_rate, "get"));
   return inner_.Get(key);
 }
 
 Result<VersionedValue> FaultyKvDatabase::GetVersioned(std::string_view key) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.get_failure_rate, "get-versioned"));
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(gate_.plan.get_failure_rate, "get-versioned"));
   return inner_.GetVersioned(key);
 }
 
 Result<VersionedValue> FaultyKvDatabase::GetVersionedIfChanged(std::string_view key,
                                                                uint64_t known_version) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.get_failure_rate, "get-versioned"));
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(gate_.plan.get_failure_rate, "get-versioned"));
   return inner_.GetVersionedIfChanged(key, known_version);
 }
 
 Status FaultyKvDatabase::CompareAndSwap(std::string_view key, uint64_t expected_version,
                                         std::vector<uint8_t> value) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.put_failure_rate, "compare-and-swap"));
+  PRONGHORN_RETURN_IF_ERROR(
+      MaybeFail(gate_.plan.put_failure_rate, "compare-and-swap"));
   return inner_.CompareAndSwap(key, expected_version, std::move(value));
 }
 
 Status FaultyKvDatabase::Delete(std::string_view key) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.delete_failure_rate, "delete"));
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(gate_.plan.delete_failure_rate, "delete"));
   return inner_.Delete(key);
 }
 
 Result<int64_t> FaultyKvDatabase::Increment(std::string_view key) {
-  PRONGHORN_RETURN_IF_ERROR(MaybeFail(plan_.put_failure_rate, "increment"));
+  PRONGHORN_RETURN_IF_ERROR(MaybeFail(gate_.plan.put_failure_rate, "increment"));
   return inner_.Increment(key);
 }
 
 std::vector<std::string> FaultyKvDatabase::ListKeys(std::string_view prefix) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
+  if (gate_.MetadataFault()) {
     return {};
   }
   return inner_.ListKeys(prefix);

@@ -1,11 +1,13 @@
 // Deterministic fault schedules for the storage layer.
 //
 // Distributed deployments lose object-store reads and database round trips
-// to transient failures, partial uploads, and flipped bits. These decorators
-// wrap any ObjectStore/KvDatabase and inject faults from a seeded FaultPlan,
-// letting tests and benches verify the orchestrator's degradation behavior
-// (restore failures fall back to the next-best snapshot; knowledge writes
-// are buffered through outages; corrupt images are quarantined).
+// to transient failures, partial uploads, and flipped bits. Two decorators
+// inject faults from a seeded FaultPlan: FaultySnapshotStore wraps any
+// SnapshotStore (flat or dedup; the one store fault seam) and
+// FaultyKvDatabase wraps any KvDatabase. Tests and benches use them to verify
+// the orchestrator's degradation behavior (restore failures fall back to the
+// next-best snapshot; knowledge writes are buffered through outages; corrupt
+// images are quarantined).
 //
 // Faults come in two flavors:
 //   - Per-operation rates: each op kind fails with kUnavailable with a fixed
@@ -16,7 +18,7 @@
 //     require the decorator to hold the simulation's clock; without a clock
 //     they are ignored.
 //
-// Object-store writes additionally support two data-integrity faults:
+// Snapshot writes additionally support two data-integrity faults:
 //   - corruption_rate: the stored image gets one bit flipped. The write
 //     "succeeds"; the damage is only caught later by the snapshot CRC.
 //   - torn_write_rate: a truncated prefix lands in the store and the call
@@ -28,13 +30,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
 #include "src/obs/sink.h"
 #include "src/store/kv_database.h"
-#include "src/store/object_store.h"
 #include "src/store/snapshot_store.h"
 
 namespace pronghorn {
@@ -134,15 +136,15 @@ struct FaultPlan {
   double get_failure_rate = 0.0;
   double put_failure_rate = 0.0;
   double delete_failure_rate = 0.0;
-  // Metadata/list operations (ObjectStore Contains/ListKeys, KvDatabase
-  // ListKeys). These interfaces cannot return a Status, so a metadata fault
+  // Metadata/list operations (SnapshotStore ContainsSnapshot/ListSnapshots,
+  // KvDatabase ListKeys). These interfaces cannot return a Status, so a metadata fault
   // models an unreachable index: Contains reports false, ListKeys reports
   // nothing.
   double metadata_failure_rate = 0.0;
-  // Object-store Put bit-flip corruption (stored image is damaged, write
-  // reports success).
+  // Snapshot put bit-flip corruption (stored image is damaged, write reports
+  // success).
   double corruption_rate = 0.0;
-  // Object-store Put torn write (truncated blob stored, write reports
+  // Snapshot put torn write (truncated blob stored, write reports
   // kUnavailable).
   double torn_write_rate = 0.0;
   // Chunk-granular at-rest faults (DedupSnapshotStore only; flat stores have
@@ -180,7 +182,7 @@ struct FaultPlan {
 struct FaultInjectionStats {
   uint64_t faults_injected = 0;  // Ops failed with kUnavailable (rate + outage).
   uint64_t outage_faults = 0;    // Subset of faults_injected from kOutage windows.
-  uint64_t metadata_faults = 0;  // Contains/ListKeys deflections (also counted above).
+  uint64_t metadata_faults = 0;  // Contains/List deflections (also counted above).
   uint64_t corrupted_puts = 0;
   uint64_t torn_puts = 0;
   uint64_t latency_injections = 0;
@@ -188,66 +190,60 @@ struct FaultInjectionStats {
   uint64_t corrupted_manifests = 0;  // Manifest-frame bit rot.
 };
 
-// ObjectStore decorator. The inner store is borrowed and must outlive this.
-// `clock` (borrowed, may be null) enables scheduled windows and receives the
-// injected latency of kLatency windows.
-class FaultyObjectStore : public ObjectStore {
- public:
-  FaultyObjectStore(ObjectStore& inner, FaultPlan plan, SimClock* clock = nullptr)
-      : inner_(inner),
-        plan_(std::move(plan)),
-        clock_(clock),
-        rng_(HashCombine(plan_.seed, 0xfa17ULL)) {}
+// The draw-and-report core both decorators share: scheduled windows for one
+// FaultDomain, then one Bernoulli draw at the op's rate. Every injected fault
+// lands in `stats` and, with a sink attached, becomes a counter plus an 'i'
+// instant on `obs_track` at the simulated fault time.
+struct FaultGate {
+  // The obs names one domain reports its faults under.
+  struct Names {
+    const char* injected;      // Counter for every failed op.
+    const char* outage_event;  // Instant for an outage-window failure.
+    const char* rate_event;    // Instant for a rate-drawn failure.
+  };
 
-  Status Put(std::string_view key, ObjectBlob blob) override;
-  Result<ObjectBlob> Get(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  bool Contains(std::string_view key) const override;
-  std::vector<std::string> ListKeys(std::string_view prefix) const override;
-  StoreAccounting accounting() const override { return inner_.accounting(); }
+  FaultGate(FaultPlan plan_in, SimClock* clock_in, FaultDomain domain_in,
+            Names names_in, uint64_t salt)
+      : plan(std::move(plan_in)),
+        clock(clock_in),
+        domain(domain_in),
+        names(names_in),
+        rng(HashCombine(plan.seed, salt)) {}
 
-  const FaultInjectionStats& stats() const { return stats_; }
-  uint64_t faults_injected() const { return stats_.faults_injected; }
-
-  // Borrowed observability sink; injected faults become counters plus 'i'
-  // instants on `track` at the simulated fault time.
-  void set_obs(ObsSink* obs, ObsTrack track) {
-    obs_ = obs;
-    obs_track_ = track;
-  }
-
- private:
   // Applies windows and the per-op rate; true means the op must fail.
-  bool ShouldFail(double rate) const;
+  bool ShouldFail(double rate);
+  // ShouldFail at the metadata rate, counting a hit as a metadata fault.
+  bool MetadataFault();
   // Emits the counter (and instant, when `event` is non-null) for one
   // injected fault.
   void NoteFault(const char* counter, const char* event) const;
 
-  ObjectStore& inner_;
-  FaultPlan plan_;
-  SimClock* clock_;
-  mutable Rng rng_;
-  mutable FaultInjectionStats stats_;
-  ObsSink* obs_ = nullptr;
-  ObsTrack obs_track_;
+  FaultPlan plan;
+  SimClock* clock;
+  FaultDomain domain;
+  Names names;
+  Rng rng;
+  FaultInjectionStats stats;
+  ObsSink* obs = nullptr;
+  ObsTrack obs_track;
 };
 
-// SnapshotStore decorator: the chunk-granular sibling of FaultyObjectStore.
-// Seeded with the SAME salt and drawing in the SAME order per logical
-// operation, so a dedup deployment under chaos replays the exact fault
-// trajectory of a flat deployment whose decorator wraps the ObjectStore —
-// that equivalence is what keeps simulation digests bit-identical with the
-// store swapped. Chunk/manifest faults draw from an independent stream
-// (salt 0xc417) after a put succeeds, so enabling them cannot shift the
-// shared trajectory either. The inner store is borrowed.
+// SnapshotStore decorator: the one store fault seam, over a flat or a dedup
+// store alike. Each logical operation draws the same sequence whichever store
+// is inside — that is what keeps simulation digests bit-identical with the
+// store swapped. Chunk/manifest faults draw from an independent stream (salt
+// 0xc417) after a put succeeds, so enabling them cannot shift the shared
+// trajectory; flat stores decline them. The inner store is borrowed.
+// `clock` (borrowed, may be null) enables scheduled windows and receives the
+// injected latency of kLatency windows.
 class FaultySnapshotStore : public SnapshotStore {
  public:
   FaultySnapshotStore(SnapshotStore& inner, FaultPlan plan, SimClock* clock = nullptr)
       : inner_(inner),
-        plan_(std::move(plan)),
-        clock_(clock),
-        rng_(HashCombine(plan_.seed, 0xfa17ULL)),
-        chunk_rng_(HashCombine(plan_.seed, 0xc417ULL)) {}
+        chunk_rng_(HashCombine(plan.seed, 0xc417ULL)),
+        gate_(std::move(plan), clock, FaultDomain::kObjectStore,
+              {"faults.store.injected", "fault:store_outage", "fault:store"},
+              0xfa17ULL) {}
 
   Result<SnapshotRef> PutSnapshot(std::string_view key, ObjectBlob blob) override;
   Result<std::unique_ptr<SnapshotReader>> OpenSnapshot(std::string_view key) override;
@@ -265,29 +261,21 @@ class FaultySnapshotStore : public SnapshotStore {
     return inner_.CorruptManifest(key, rng);
   }
 
-  const FaultInjectionStats& stats() const { return stats_; }
-  uint64_t faults_injected() const { return stats_.faults_injected; }
+  const FaultInjectionStats& stats() const { return gate_.stats; }
+  uint64_t faults_injected() const { return gate_.stats.faults_injected; }
 
   // Borrowed observability sink; also forwarded to the inner store so its
   // chunk_fetch spans land on the same track.
   void set_obs(ObsSink* obs, ObsTrack track) override {
-    obs_ = obs;
-    obs_track_ = track;
+    gate_.obs = obs;
+    gate_.obs_track = track;
     inner_.set_obs(obs, track);
   }
 
  private:
-  bool ShouldFail(double rate) const;
-  void NoteFault(const char* counter, const char* event) const;
-
   SnapshotStore& inner_;
-  FaultPlan plan_;
-  SimClock* clock_;
-  mutable Rng rng_;        // Shared-trajectory stream (salt 0xfa17).
-  mutable Rng chunk_rng_;  // Chunk/manifest fault stream (salt 0xc417).
-  mutable FaultInjectionStats stats_;
-  ObsSink* obs_ = nullptr;
-  ObsTrack obs_track_;
+  Rng chunk_rng_;  // Chunk/manifest fault stream (salt 0xc417).
+  mutable FaultGate gate_;  // Shared-trajectory stream (salt 0xfa17).
 };
 
 // KvDatabase decorator. Reads and writes fail independently per the plan
@@ -296,9 +284,8 @@ class FaultyKvDatabase : public KvDatabase {
  public:
   FaultyKvDatabase(KvDatabase& inner, FaultPlan plan, SimClock* clock = nullptr)
       : inner_(inner),
-        plan_(std::move(plan)),
-        clock_(clock),
-        rng_(HashCombine(plan_.seed, 0xfadbULL)) {}
+        gate_(std::move(plan), clock, FaultDomain::kDatabase,
+              {"faults.db.injected", "fault:db_outage", "fault:db"}, 0xfadbULL) {}
 
   Status Put(std::string_view key, std::vector<uint8_t> value) override;
   Result<std::vector<uint8_t>> Get(std::string_view key) override;
@@ -313,27 +300,20 @@ class FaultyKvDatabase : public KvDatabase {
   std::vector<std::string> ListKeys(std::string_view prefix) const override;
   KvAccounting accounting() const override { return inner_.accounting(); }
 
-  const FaultInjectionStats& stats() const { return stats_; }
-  uint64_t faults_injected() const { return stats_.faults_injected; }
+  const FaultInjectionStats& stats() const { return gate_.stats; }
+  uint64_t faults_injected() const { return gate_.stats.faults_injected; }
 
-  // Borrowed observability sink; see FaultyObjectStore::set_obs.
+  // Borrowed observability sink; see FaultySnapshotStore::set_obs.
   void set_obs(ObsSink* obs, ObsTrack track) {
-    obs_ = obs;
-    obs_track_ = track;
+    gate_.obs = obs;
+    gate_.obs_track = track;
   }
 
  private:
-  bool ShouldFail(double rate) const;
   Status MaybeFail(double rate, const char* operation);
-  void NoteFault(const char* counter, const char* event) const;
 
   KvDatabase& inner_;
-  FaultPlan plan_;
-  SimClock* clock_;
-  mutable Rng rng_;
-  mutable FaultInjectionStats stats_;
-  ObsSink* obs_ = nullptr;
-  ObsTrack obs_track_;
+  mutable FaultGate gate_;
 };
 
 }  // namespace pronghorn

@@ -1,11 +1,6 @@
 #include "src/store/object_store.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
-#include "src/common/bytes.h"
 
 namespace pronghorn {
 
@@ -13,29 +8,6 @@ const std::vector<uint8_t>& ObjectBlob::bytes() const {
   static const std::vector<uint8_t> kEmpty;
   return data == nullptr ? kEmpty : *data;
 }
-
-namespace {
-
-void AccountPut(StoreAccounting& acc, uint64_t old_logical, uint64_t new_logical) {
-  acc.logical_bytes_stored -= old_logical;
-  acc.logical_bytes_stored += new_logical;
-  acc.peak_logical_bytes = std::max(acc.peak_logical_bytes, acc.logical_bytes_stored);
-  acc.network_bytes_uploaded += new_logical;
-  acc.put_count += 1;
-}
-
-// A flat store's physical footprint is exactly the encoded payload it holds:
-// no chunk sharing, so the flat and physical views coincide.
-void AccountPhysicalPut(PhysicalAccounting& phys, uint64_t old_encoded,
-                        uint64_t new_encoded) {
-  phys.bytes_stored -= old_encoded;
-  phys.bytes_stored += new_encoded;
-  phys.peak_bytes = std::max(phys.peak_bytes, phys.bytes_stored);
-  phys.flat_bytes_stored = phys.bytes_stored;
-  phys.peak_flat_bytes = phys.peak_bytes;
-}
-
-}  // namespace
 
 Status InMemoryObjectStore::Put(std::string_view key, ObjectBlob blob) {
   if (key.empty()) {
@@ -159,191 +131,6 @@ StoreAccounting InMemoryObjectStore::accounting() const {
   out.physical.bytes_fetched =
       accounting_.bytes_fetched.load(std::memory_order_relaxed);
   return out;
-}
-
-// --- FileBackedObjectStore --------------------------------------------------
-
-FileBackedObjectStore::FileBackedObjectStore(std::string root_dir)
-    : root_dir_(std::move(root_dir)) {}
-
-Result<std::unique_ptr<FileBackedObjectStore>> FileBackedObjectStore::Open(
-    std::string root_dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(root_dir, ec);
-  if (ec) {
-    return InternalError("cannot create object store root '" + root_dir +
-                         "': " + ec.message());
-  }
-  return std::unique_ptr<FileBackedObjectStore>(
-      new FileBackedObjectStore(std::move(root_dir)));
-}
-
-std::string FileBackedObjectStore::EscapeKey(std::string_view key) {
-  // '/' and '%' are escaped so arbitrary keys map to flat file names.
-  std::string out;
-  out.reserve(key.size());
-  for (char c : key) {
-    if (c == '/') {
-      out += "%2F";
-    } else if (c == '%') {
-      out += "%25";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-Result<std::string> FileBackedObjectStore::UnescapeKey(std::string_view file_name) {
-  std::string out;
-  out.reserve(file_name.size());
-  for (size_t i = 0; i < file_name.size(); ++i) {
-    if (file_name[i] != '%') {
-      out += file_name[i];
-      continue;
-    }
-    if (i + 2 >= file_name.size()) {
-      return DataLossError("truncated escape in object file name");
-    }
-    const std::string_view hex = file_name.substr(i + 1, 2);
-    if (hex == "2F") {
-      out += '/';
-    } else if (hex == "25") {
-      out += '%';
-    } else {
-      return DataLossError("unknown escape in object file name");
-    }
-    i += 2;
-  }
-  return out;
-}
-
-std::string FileBackedObjectStore::PathForKey(std::string_view key) const {
-  return root_dir_ + "/" + EscapeKey(key) + ".obj";
-}
-
-Status FileBackedObjectStore::Put(std::string_view key, ObjectBlob blob) {
-  if (key.empty()) {
-    return InvalidArgumentError("object key must be non-empty");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-
-  uint64_t old_logical = 0;
-  uint64_t old_encoded = 0;
-  const std::string path = PathForKey(key);
-  if (std::filesystem::exists(path)) {
-    // Read the previous logical size for accounting.
-    std::ifstream in(path, std::ios::binary);
-    uint64_t stored = 0;
-    in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-    if (in) {
-      old_logical = stored;
-    }
-    std::error_code size_ec;
-    const auto file_bytes = std::filesystem::file_size(path, size_ec);
-    if (!size_ec && file_bytes >= sizeof(uint64_t)) {
-      old_encoded = file_bytes - sizeof(uint64_t);
-    }
-  }
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return InternalError("cannot open '" + path + "' for writing");
-  }
-  const uint64_t logical = blob.logical_size;
-  out.write(reinterpret_cast<const char*>(&logical), sizeof(logical));
-  out.write(reinterpret_cast<const char*>(blob.bytes().data()),
-            static_cast<std::streamsize>(blob.bytes().size()));
-  out.flush();
-  if (!out) {
-    return InternalError("short write to '" + path + "'");
-  }
-  AccountPut(accounting_, old_logical, logical);
-  AccountPhysicalPut(accounting_.physical, old_encoded, blob.bytes().size());
-  return OkStatus();
-}
-
-Result<ObjectBlob> FileBackedObjectStore::Get(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::string path = PathForKey(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("no object with key '" + std::string(key) + "'");
-  }
-  uint64_t logical_size = 0;
-  in.read(reinterpret_cast<char*>(&logical_size), sizeof(logical_size));
-  if (!in) {
-    return DataLossError("corrupt object header at '" + path + "'");
-  }
-  std::vector<uint8_t> payload{std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()};
-  accounting_.network_bytes_downloaded += logical_size;
-  accounting_.get_count += 1;
-  accounting_.physical.chunks_fetched += 1;
-  accounting_.physical.bytes_fetched += payload.size();
-  return ObjectBlob(std::move(payload), logical_size);
-}
-
-Status FileBackedObjectStore::Delete(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::string path = PathForKey(key);
-  uint64_t old_logical = 0;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return NotFoundError("no object with key '" + std::string(key) + "'");
-    }
-    in.read(reinterpret_cast<char*>(&old_logical), sizeof(old_logical));
-  }
-  uint64_t old_encoded = 0;
-  std::error_code size_ec;
-  const auto file_bytes = std::filesystem::file_size(path, size_ec);
-  if (!size_ec && file_bytes >= sizeof(uint64_t)) {
-    old_encoded = file_bytes - sizeof(uint64_t);
-  }
-  std::error_code ec;
-  if (!std::filesystem::remove(path, ec) || ec) {
-    return InternalError("cannot remove '" + path + "'");
-  }
-  accounting_.logical_bytes_stored -= old_logical;
-  accounting_.delete_count += 1;
-  accounting_.physical.bytes_stored -= old_encoded;
-  accounting_.physical.flat_bytes_stored = accounting_.physical.bytes_stored;
-  return OkStatus();
-}
-
-bool FileBackedObjectStore::Contains(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::filesystem::exists(PathForKey(key));
-}
-
-std::vector<std::string> FileBackedObjectStore::ListKeys(std::string_view prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> keys;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(root_dir_, ec)) {
-    if (!entry.is_regular_file()) {
-      continue;
-    }
-    std::string name = entry.path().filename().string();
-    if (name.size() < 4 || name.substr(name.size() - 4) != ".obj") {
-      continue;
-    }
-    auto key = UnescapeKey(std::string_view(name).substr(0, name.size() - 4));
-    if (!key.ok()) {
-      continue;  // Skip foreign files.
-    }
-    if (key->size() >= prefix.size() && key->compare(0, prefix.size(), prefix) == 0) {
-      keys.push_back(*std::move(key));
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-StoreAccounting FileBackedObjectStore::accounting() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return accounting_;
 }
 
 }  // namespace pronghorn

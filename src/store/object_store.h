@@ -1,6 +1,10 @@
-// Object store (MinIO stand-in) for snapshot images.
+// Object store (MinIO stand-in) for snapshot images, plus the blob and
+// accounting types every snapshot store shares.
 //
-// The store distinguishes *physical* bytes (the encoded image actually held)
+// InMemoryObjectStore is the whole-blob key/value store under
+// FlatSnapshotStore (src/store/snapshot_store.h); nothing else talks to it,
+// so it is a concrete class rather than an interface. The store
+// distinguishes *physical* bytes (the encoded image actually held)
 // from *logical* bytes (the modeled CRIU image size, dominated by heap pages
 // that the simulator does not materialize). All storage and network
 // accounting — the basis of the paper's Table 5 — is in logical bytes.
@@ -88,39 +92,26 @@ struct StoreAccounting {
   PhysicalAccounting physical;
 };
 
-class ObjectStore {
- public:
-  virtual ~ObjectStore() = default;
-
-  // Stores `blob` under `key`, replacing any existing object.
-  virtual Status Put(std::string_view key, ObjectBlob blob) = 0;
-  // Fetches a copy of the object.
-  virtual Result<ObjectBlob> Get(std::string_view key) = 0;
-  virtual Status Delete(std::string_view key) = 0;
-  virtual bool Contains(std::string_view key) const = 0;
-  // Keys in lexicographic order, optionally filtered by prefix.
-  virtual std::vector<std::string> ListKeys(std::string_view prefix = "") const = 0;
-
-  virtual StoreAccounting accounting() const = 0;
-};
-
-// Thread-safe in-memory implementation. Keys are lock-striped across
+// Thread-safe in-memory object store. Keys are lock-striped across
 // kStoreStripes independently-locked hash maps and accounting is kept in
 // serial-exact atomics (see src/store/striping.h), so concurrent operations
 // on different keys never contend on a mutex or a cache line. Observable
 // behavior is identical to the historical single-mutex std::map version:
 // ListKeys still returns lexicographic order, and any serial operation
 // sequence yields a bit-identical StoreAccounting.
-class InMemoryObjectStore : public ObjectStore {
+class InMemoryObjectStore {
  public:
   InMemoryObjectStore() = default;
 
-  Status Put(std::string_view key, ObjectBlob blob) override;
-  Result<ObjectBlob> Get(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  bool Contains(std::string_view key) const override;
-  std::vector<std::string> ListKeys(std::string_view prefix) const override;
-  StoreAccounting accounting() const override;
+  // Stores `blob` under `key`, replacing any existing object.
+  Status Put(std::string_view key, ObjectBlob blob);
+  // Fetches the object; the payload buffer is shared, not copied.
+  Result<ObjectBlob> Get(std::string_view key);
+  Status Delete(std::string_view key);
+  bool Contains(std::string_view key) const;
+  // Keys in lexicographic order, optionally filtered by prefix.
+  std::vector<std::string> ListKeys(std::string_view prefix = "") const;
+  StoreAccounting accounting() const;
 
  private:
   struct alignas(kCacheLineBytes) Stripe {
@@ -148,34 +139,6 @@ class InMemoryObjectStore : public ObjectStore {
 
   std::array<Stripe, kStoreStripes> stripes_;
   AtomicAccounting accounting_;
-};
-
-// Durable implementation that persists each object as a file under a root
-// directory ("<root>/<escaped key>"), with logical sizes in a sidecar header.
-// Used by the persistence examples and tests; semantics match the in-memory
-// store.
-class FileBackedObjectStore : public ObjectStore {
- public:
-  // Creates the root directory if needed. Fails if it cannot be created.
-  static Result<std::unique_ptr<FileBackedObjectStore>> Open(std::string root_dir);
-
-  Status Put(std::string_view key, ObjectBlob blob) override;
-  Result<ObjectBlob> Get(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  bool Contains(std::string_view key) const override;
-  std::vector<std::string> ListKeys(std::string_view prefix) const override;
-  StoreAccounting accounting() const override;
-
- private:
-  explicit FileBackedObjectStore(std::string root_dir);
-
-  std::string PathForKey(std::string_view key) const;
-  static std::string EscapeKey(std::string_view key);
-  static Result<std::string> UnescapeKey(std::string_view file_name);
-
-  mutable std::mutex mutex_;
-  std::string root_dir_;
-  StoreAccounting accounting_;
 };
 
 }  // namespace pronghorn

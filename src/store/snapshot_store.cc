@@ -51,7 +51,7 @@ void SnapshotStore::set_obs(ObsSink* obs, ObsTrack track) {
 namespace {
 
 // Reader over an already-fetched flat blob: the inner Get happened at open
-// time (one inner operation per OpenSnapshot, matching the legacy Get).
+// time (one inner operation per OpenSnapshot).
 class FlatReader final : public SnapshotReader {
  public:
   FlatReader(SnapshotRef ref, ObjectBlob blob)

@@ -1,8 +1,5 @@
-// SnapshotStore: the chunk-granular snapshot API.
-//
-// The flat ObjectStore::Put/Get(key, ObjectBlob) interface cannot express
-// chunk-granular or partial access, so the checkpoint/restore path talks to
-// this API instead:
+// SnapshotStore: the chunk-granular snapshot API, and the only blob API the
+// checkpoint/restore path talks to:
 //
 //   PutSnapshot    -> SnapshotRef (content digest + chunk manifest summary)
 //   OpenSnapshot   -> lazy chunk reader (pins the snapshot while open)
@@ -12,9 +9,8 @@
 //
 // Two implementations:
 //
-//   FlatSnapshotStore  — compatibility adapter over an existing ObjectStore.
-//     One inner operation per call, so every pre-existing driver, fault
-//     trajectory, and report digest stays bit-identical.
+//   FlatSnapshotStore  — whole-blob store over an InMemoryObjectStore, one
+//     object per snapshot.
 //
 //   DedupSnapshotStore — content-addressed chunk index. Snapshots are split
 //     into fixed/CDC chunks (src/store/chunker.h) keyed by content digest
@@ -24,6 +20,9 @@
 //     REAP-style: the first open records the transferred chunk set into the
 //     snapshot's manifest, later opens prefetch exactly that set and fault
 //     the rest in on demand through a bounded host chunk cache.
+//
+// Store faults are injected above either one by FaultySnapshotStore
+// (src/store/fault_injection.h).
 //
 // Accounting contract: the seven digest-covered StoreAccounting fields are
 // computed with the *same logical arithmetic* as InMemoryObjectStore, so
@@ -78,7 +77,7 @@ class SnapshotReader {
 // How a simulation's snapshot store is built (SimOptions::store).
 struct SnapshotStoreOptions {
   enum class Kind {
-    kFlat = 0,   // FlatSnapshotStore over the environment's ObjectStore.
+    kFlat = 0,   // FlatSnapshotStore over the environment's InMemoryObjectStore.
     kDedup = 1,  // Content-addressed DedupSnapshotStore.
   };
   Kind kind = Kind::kFlat;
@@ -125,12 +124,11 @@ class SnapshotStore {
   virtual void set_obs(ObsSink* obs, ObsTrack track);
 };
 
-// Compatibility adapter: one inner ObjectStore operation per call, so flat
-// deployments (including their fault-decorator RNG draw sequences) replay
-// bit-identically through the new API. The inner store is borrowed.
+// Whole-blob store: one inner object operation per call, no chunks, no
+// manifests, nothing to pin or collect. The inner store is borrowed.
 class FlatSnapshotStore : public SnapshotStore {
  public:
-  explicit FlatSnapshotStore(ObjectStore& inner) : inner_(inner) {}
+  explicit FlatSnapshotStore(InMemoryObjectStore& inner) : inner_(inner) {}
 
   Result<SnapshotRef> PutSnapshot(std::string_view key, ObjectBlob blob) override;
   Result<std::unique_ptr<SnapshotReader>> OpenSnapshot(std::string_view key) override;
@@ -143,7 +141,7 @@ class FlatSnapshotStore : public SnapshotStore {
   StoreAccounting accounting() const override { return inner_.accounting(); }
 
  private:
-  ObjectStore& inner_;
+  InMemoryObjectStore& inner_;
 };
 
 // Content-addressed deduplicated store. Self-contained (owns its chunk index

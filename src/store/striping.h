@@ -1,6 +1,6 @@
 // Lock striping and serial-exact atomic accounting for the in-memory stores.
 //
-// The in-memory ObjectStore and Database originally guarded one std::map and
+// The in-memory object store and database originally guarded one std::map and
 // one accounting struct with a single mutex. That is perfectly correct, but
 // when a store is shared across threads (service mode shards, concurrency
 // stress tests) every operation — including the string hashing and node

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/checkpoint/criu_like_engine.h"
 #include "src/core/orchestrator.h"
 #include "src/core/request_centric_policy.h"
@@ -14,26 +17,38 @@ ObjectBlob Blob(std::string_view text) {
   return ObjectBlob(std::vector<uint8_t>(text.begin(), text.end()), text.size());
 }
 
-TEST(FaultyObjectStoreTest, ZeroRateIsTransparent) {
-  InMemoryObjectStore inner;
-  FaultyObjectStore store(inner, FaultPlan{});
-  ASSERT_TRUE(store.Put("k", Blob("v")).ok());
-  ASSERT_TRUE(store.Get("k").ok());
-  ASSERT_TRUE(store.Delete("k").ok());
+// What a flat build puts under the store fault decorator.
+struct FlatStack {
+  InMemoryObjectStore objects;
+  FlatSnapshotStore flat{objects};
+};
+
+Result<ObjectBlob> ReadBack(SnapshotStore& store, std::string_view key) {
+  PRONGHORN_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotReader> reader,
+                             store.OpenSnapshot(key));
+  return reader->ReadAll();
+}
+
+TEST(FaultySnapshotStoreTest, ZeroRateIsTransparent) {
+  FlatStack inner;
+  FaultySnapshotStore store(inner.flat, FaultPlan{});
+  ASSERT_TRUE(store.PutSnapshot("k", Blob("v")).ok());
+  ASSERT_TRUE(ReadBack(store, "k").ok());
+  ASSERT_TRUE(store.DeleteSnapshot("k").ok());
   EXPECT_EQ(store.faults_injected(), 0u);
 }
 
-TEST(FaultyObjectStoreTest, InjectsAtConfiguredRate) {
-  InMemoryObjectStore inner;
-  ASSERT_TRUE(inner.Put("k", Blob("v")).ok());
+TEST(FaultySnapshotStoreTest, InjectsAtConfiguredRate) {
+  FlatStack inner;
+  ASSERT_TRUE(inner.flat.PutSnapshot("k", Blob("v")).ok());
   FaultPlan plan;
   plan.get_failure_rate = 0.5;
   plan.seed = 1;
-  FaultyObjectStore store(inner, plan);
+  FaultySnapshotStore store(inner.flat, plan);
   int failures = 0;
   const int trials = 2000;
   for (int i = 0; i < trials; ++i) {
-    auto got = store.Get("k");
+    auto got = store.OpenSnapshot("k");
     if (!got.ok()) {
       EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
       ++failures;
@@ -43,50 +58,54 @@ TEST(FaultyObjectStoreTest, InjectsAtConfiguredRate) {
   EXPECT_EQ(store.faults_injected(), static_cast<uint64_t>(failures));
 }
 
-TEST(FaultyObjectStoreTest, AlwaysFailMode) {
-  InMemoryObjectStore inner;
+TEST(FaultySnapshotStoreTest, AlwaysFailMode) {
+  FlatStack inner;
   FaultPlan plan;
   plan.put_failure_rate = 1.0;
-  FaultyObjectStore store(inner, plan);
-  EXPECT_EQ(store.Put("k", Blob("v")).code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(inner.Contains("k"));  // Nothing reached the inner store.
+  FaultySnapshotStore store(inner.flat, plan);
+  EXPECT_EQ(store.PutSnapshot("k", Blob("v")).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_FALSE(inner.objects.Contains("k"));  // Nothing reached the inner store.
+  EXPECT_EQ(inner.objects.accounting().put_count, 0u);
 }
 
-TEST(FaultyObjectStoreTest, MetadataFaultsHideKeys) {
-  InMemoryObjectStore inner;
-  ASSERT_TRUE(inner.Put("snapshots/a", Blob("v")).ok());
+TEST(FaultySnapshotStoreTest, MetadataFaultsHideKeys) {
+  FlatStack inner;
+  ASSERT_TRUE(inner.flat.PutSnapshot("snapshots/a", Blob("v")).ok());
   FaultPlan plan;
   plan.metadata_failure_rate = 1.0;
-  FaultyObjectStore store(inner, plan);
-  EXPECT_FALSE(store.Contains("snapshots/a"));
-  EXPECT_TRUE(store.ListKeys("snapshots/").empty());
+  FaultySnapshotStore store(inner.flat, plan);
+  EXPECT_FALSE(store.ContainsSnapshot("snapshots/a"));
+  EXPECT_TRUE(store.ListSnapshots("snapshots/").empty());
   EXPECT_EQ(store.stats().metadata_faults, 2u);
   // The data path is untouched: the blob is still readable.
-  EXPECT_TRUE(store.Get("snapshots/a").ok());
+  EXPECT_TRUE(ReadBack(store, "snapshots/a").ok());
 }
 
-TEST(FaultyObjectStoreTest, TornWriteStoresTruncatedPrefixAndFails) {
-  InMemoryObjectStore inner;
+TEST(FaultySnapshotStoreTest, TornWriteStoresTruncatedPrefixAndFails) {
+  FlatStack inner;
   FaultPlan plan;
   plan.torn_write_rate = 1.0;
-  FaultyObjectStore store(inner, plan);
-  EXPECT_EQ(store.Put("k", Blob("0123456789")).code(), StatusCode::kUnavailable);
+  FaultySnapshotStore store(inner.flat, plan);
+  EXPECT_EQ(store.PutSnapshot("k", Blob("0123456789")).status().code(),
+            StatusCode::kUnavailable);
   // Half the payload landed anyway — the partial-upload garbage GC must clean.
-  auto stored = inner.Get("k");
+  auto stored = inner.objects.Get("k");
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored->bytes().size(), 5u);
+  EXPECT_EQ(stored->logical_size, 5u);
   EXPECT_EQ(store.stats().torn_puts, 1u);
 }
 
-TEST(FaultyObjectStoreTest, CorruptionFlipsOneBitAndReportsSuccess) {
-  InMemoryObjectStore inner;
+TEST(FaultySnapshotStoreTest, CorruptionFlipsOneBitAndReportsSuccess) {
+  FlatStack inner;
   FaultPlan plan;
   plan.corruption_rate = 1.0;
   plan.seed = 3;
-  FaultyObjectStore store(inner, plan);
+  FaultySnapshotStore store(inner.flat, plan);
   const ObjectBlob original = Blob("snapshot-image-payload");
-  ASSERT_TRUE(store.Put("k", original).ok());  // The write "succeeds".
-  auto stored = inner.Get("k");
+  ASSERT_TRUE(store.PutSnapshot("k", original).ok());  // The write "succeeds".
+  auto stored = inner.objects.Get("k");
   ASSERT_TRUE(stored.ok());
   ASSERT_EQ(stored->bytes().size(), original.bytes().size());
   size_t flipped_bits = 0;
@@ -99,12 +118,15 @@ TEST(FaultyObjectStoreTest, CorruptionFlipsOneBitAndReportsSuccess) {
   }
   EXPECT_EQ(flipped_bits, 1u);
   EXPECT_EQ(store.stats().corrupted_puts, 1u);
+  // The caller's buffer is never mutated: corruption copies first.
+  EXPECT_EQ(std::string(original.bytes().begin(), original.bytes().end()),
+            "snapshot-image-payload");
 }
 
-TEST(FaultyObjectStoreTest, OutageWindowFailsEveryOpWhileOpen) {
+TEST(FaultySnapshotStoreTest, OutageWindowFailsEveryOpWhileOpen) {
   SimClock clock;
-  InMemoryObjectStore inner;
-  ASSERT_TRUE(inner.Put("k", Blob("v")).ok());
+  FlatStack inner;
+  ASSERT_TRUE(inner.flat.PutSnapshot("k", Blob("v")).ok());
   FaultPlan plan;
   FaultWindow window;
   window.kind = FaultWindow::Kind::kOutage;
@@ -112,37 +134,38 @@ TEST(FaultyObjectStoreTest, OutageWindowFailsEveryOpWhileOpen) {
   window.start = TimePoint() + Duration::Seconds(10);
   window.end = TimePoint() + Duration::Seconds(20);
   plan.windows.push_back(window);
-  FaultyObjectStore store(inner, plan, &clock);
+  FaultySnapshotStore store(inner.flat, plan, &clock);
 
-  EXPECT_TRUE(store.Get("k").ok());  // Before the window.
+  EXPECT_TRUE(store.OpenSnapshot("k").ok());  // Before the window.
   clock.Advance(Duration::Seconds(15));
-  EXPECT_EQ(store.Get("k").status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(store.Put("k2", Blob("v")).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(store.OpenSnapshot("k").status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(store.PutSnapshot("k2", Blob("v")).status().code(),
+            StatusCode::kUnavailable);
   clock.Advance(Duration::Seconds(10));
-  EXPECT_TRUE(store.Get("k").ok());  // After the window.
+  EXPECT_TRUE(store.OpenSnapshot("k").ok());  // After the window.
   EXPECT_EQ(store.stats().outage_faults, 2u);
 }
 
-TEST(FaultyObjectStoreTest, OutageWindowScopedToOtherDomainIsIgnored) {
+TEST(FaultySnapshotStoreTest, OutageWindowScopedToOtherDomainIsIgnored) {
   SimClock clock;
-  InMemoryObjectStore inner;
-  ASSERT_TRUE(inner.Put("k", Blob("v")).ok());
+  FlatStack inner;
+  ASSERT_TRUE(inner.flat.PutSnapshot("k", Blob("v")).ok());
   FaultPlan plan;
   FaultWindow window;
   window.domain = FaultDomain::kDatabase;  // Database-only outage.
   window.start = TimePoint();
   window.end = TimePoint() + Duration::Seconds(100);
   plan.windows.push_back(window);
-  FaultyObjectStore store(inner, plan, &clock);
+  FaultySnapshotStore store(inner.flat, plan, &clock);
   clock.Advance(Duration::Seconds(5));
-  EXPECT_TRUE(store.Get("k").ok());
+  EXPECT_TRUE(store.OpenSnapshot("k").ok());
   EXPECT_EQ(store.faults_injected(), 0u);
 }
 
-TEST(FaultyObjectStoreTest, LatencyWindowAdvancesClock) {
+TEST(FaultySnapshotStoreTest, LatencyWindowAdvancesClock) {
   SimClock clock;
-  InMemoryObjectStore inner;
-  ASSERT_TRUE(inner.Put("k", Blob("v")).ok());
+  FlatStack inner;
+  ASSERT_TRUE(inner.flat.PutSnapshot("k", Blob("v")).ok());
   FaultPlan plan;
   FaultWindow window;
   window.kind = FaultWindow::Kind::kLatency;
@@ -150,16 +173,16 @@ TEST(FaultyObjectStoreTest, LatencyWindowAdvancesClock) {
   window.end = TimePoint() + Duration::Seconds(10);
   window.extra_latency = Duration::Millis(250);
   plan.windows.push_back(window);
-  FaultyObjectStore store(inner, plan, &clock);
+  FaultySnapshotStore store(inner.flat, plan, &clock);
 
   const TimePoint before = clock.now();
-  EXPECT_TRUE(store.Get("k").ok());
+  EXPECT_TRUE(store.OpenSnapshot("k").ok());
   EXPECT_EQ(clock.now() - before, Duration::Millis(250));
   EXPECT_EQ(store.stats().latency_injections, 1u);
   // Outside the window the op is full speed again.
   clock.AdvanceTo(TimePoint() + Duration::Seconds(11));
   const TimePoint after = clock.now();
-  EXPECT_TRUE(store.Get("k").ok());
+  EXPECT_TRUE(store.OpenSnapshot("k").ok());
   EXPECT_EQ(clock.now(), after);
 }
 
@@ -289,7 +312,7 @@ TEST(PolicyStateStoreResilienceTest, PersistentOutageSurfaces) {
 }
 
 TEST(OrchestratorResilienceTest, RestoreFaultsFallBackToColdStart) {
-  // An orchestrator whose object store drops every read must still launch
+  // An orchestrator whose snapshot store drops every read must still launch
   // workers: restore failures degrade to cold starts, never to errors.
   const auto profile = WorkloadRegistry::Default().Find("DynamicHTML");
   ASSERT_TRUE(profile.ok());
@@ -302,13 +325,12 @@ TEST(OrchestratorResilienceTest, RestoreFaultsFallBackToColdStart) {
 
   SimClock clock;
   InMemoryKvDatabase db;
-  InMemoryObjectStore inner_store;
+  FlatStack inner;
   FaultPlan plan;
   plan.get_failure_rate = 1.0;  // Every snapshot download fails.
-  FaultyObjectStore object_store(inner_store, plan);
+  FaultySnapshotStore snapshot_store(inner.flat, plan);
   CriuLikeEngine engine(3);
   PolicyStateStore state_store(db, (*profile)->name, config);
-  FlatSnapshotStore snapshot_store(object_store);
   Orchestrator orchestrator(**profile, WorkloadRegistry::Default(), *policy, engine,
                             snapshot_store, state_store, clock, /*seed=*/9);
 
@@ -320,7 +342,7 @@ TEST(OrchestratorResilienceTest, RestoreFaultsFallBackToColdStart) {
       ASSERT_TRUE(orchestrator.ServeRequest(*session, {i, 1.0}).ok());
     }
   }
-  EXPECT_GT(object_store.faults_injected(), 0u);
+  EXPECT_GT(snapshot_store.faults_injected(), 0u);
 }
 
 }  // namespace

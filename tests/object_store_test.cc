@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,87 +14,69 @@ ObjectBlob Blob(std::string_view text, uint64_t logical_size) {
   return ObjectBlob(std::vector<uint8_t>(text.begin(), text.end()), logical_size);
 }
 
-// Shared conformance suite run against both implementations.
-class ObjectStoreConformance : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    if (std::string_view(GetParam()) == "memory") {
-      store_ = std::make_unique<InMemoryObjectStore>();
-    } else {
-      temp_dir_ = std::filesystem::temp_directory_path() /
-                  ("pronghorn_store_test_" + std::to_string(::getpid()));
-      std::filesystem::remove_all(temp_dir_);
-      auto opened = FileBackedObjectStore::Open(temp_dir_.string());
-      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-      store_ = *std::move(opened);
-    }
-  }
+// --- Object store contract ---------------------------------------------
 
-  void TearDown() override {
-    store_.reset();
-    if (!temp_dir_.empty()) {
-      std::filesystem::remove_all(temp_dir_);
-    }
-  }
-
-  std::unique_ptr<ObjectStore> store_;
-  std::filesystem::path temp_dir_;
-};
-
-TEST_P(ObjectStoreConformance, PutGetRoundTrip) {
-  ASSERT_TRUE(store_->Put("a/b", Blob("payload", 100)).ok());
-  auto got = store_->Get("a/b");
+TEST(InMemoryObjectStoreTest, PutGetRoundTrip) {
+  InMemoryObjectStore store;
+  ASSERT_TRUE(store.Put("a/b", Blob("payload", 100)).ok());
+  auto got = store.Get("a/b");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(std::string(got->bytes().begin(), got->bytes().end()), "payload");
   EXPECT_EQ(got->logical_size, 100u);
 }
 
-TEST_P(ObjectStoreConformance, GetMissingIsNotFound) {
-  EXPECT_EQ(store_->Get("nope").status().code(), StatusCode::kNotFound);
+TEST(InMemoryObjectStoreTest, GetMissingIsNotFound) {
+  InMemoryObjectStore store;
+  EXPECT_EQ(store.Get("nope").status().code(), StatusCode::kNotFound);
 }
 
-TEST_P(ObjectStoreConformance, EmptyKeyRejected) {
-  EXPECT_EQ(store_->Put("", Blob("x", 1)).code(), StatusCode::kInvalidArgument);
+TEST(InMemoryObjectStoreTest, EmptyKeyRejected) {
+  InMemoryObjectStore store;
+  EXPECT_EQ(store.Put("", Blob("x", 1)).code(), StatusCode::kInvalidArgument);
 }
 
-TEST_P(ObjectStoreConformance, OverwriteReplacesValue) {
-  ASSERT_TRUE(store_->Put("k", Blob("one", 10)).ok());
-  ASSERT_TRUE(store_->Put("k", Blob("two", 20)).ok());
-  auto got = store_->Get("k");
+TEST(InMemoryObjectStoreTest, OverwriteReplacesValue) {
+  InMemoryObjectStore store;
+  ASSERT_TRUE(store.Put("k", Blob("one", 10)).ok());
+  ASSERT_TRUE(store.Put("k", Blob("two", 20)).ok());
+  auto got = store.Get("k");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(std::string(got->bytes().begin(), got->bytes().end()), "two");
-  EXPECT_EQ(store_->accounting().logical_bytes_stored, 20u);
+  EXPECT_EQ(store.accounting().logical_bytes_stored, 20u);
 }
 
-TEST_P(ObjectStoreConformance, DeleteRemoves) {
-  ASSERT_TRUE(store_->Put("k", Blob("x", 5)).ok());
-  EXPECT_TRUE(store_->Contains("k"));
-  ASSERT_TRUE(store_->Delete("k").ok());
-  EXPECT_FALSE(store_->Contains("k"));
-  EXPECT_EQ(store_->Delete("k").code(), StatusCode::kNotFound);
-  EXPECT_EQ(store_->accounting().logical_bytes_stored, 0u);
+TEST(InMemoryObjectStoreTest, DeleteRemoves) {
+  InMemoryObjectStore store;
+  ASSERT_TRUE(store.Put("k", Blob("x", 5)).ok());
+  EXPECT_TRUE(store.Contains("k"));
+  ASSERT_TRUE(store.Delete("k").ok());
+  EXPECT_FALSE(store.Contains("k"));
+  EXPECT_EQ(store.Delete("k").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.accounting().logical_bytes_stored, 0u);
 }
 
-TEST_P(ObjectStoreConformance, ListKeysWithPrefix) {
-  ASSERT_TRUE(store_->Put("snapshots/f1/1", Blob("a", 1)).ok());
-  ASSERT_TRUE(store_->Put("snapshots/f1/2", Blob("b", 1)).ok());
-  ASSERT_TRUE(store_->Put("snapshots/f2/1", Blob("c", 1)).ok());
-  const auto all = store_->ListKeys("");
+TEST(InMemoryObjectStoreTest, ListKeysWithPrefix) {
+  InMemoryObjectStore store;
+  ASSERT_TRUE(store.Put("snapshots/f1/1", Blob("a", 1)).ok());
+  ASSERT_TRUE(store.Put("snapshots/f1/2", Blob("b", 1)).ok());
+  ASSERT_TRUE(store.Put("snapshots/f2/1", Blob("c", 1)).ok());
+  const auto all = store.ListKeys("");
   EXPECT_EQ(all.size(), 3u);
-  const auto f1 = store_->ListKeys("snapshots/f1/");
+  const auto f1 = store.ListKeys("snapshots/f1/");
   ASSERT_EQ(f1.size(), 2u);
   EXPECT_EQ(f1[0], "snapshots/f1/1");
   EXPECT_EQ(f1[1], "snapshots/f1/2");
-  EXPECT_TRUE(store_->ListKeys("zzz").empty());
+  EXPECT_TRUE(store.ListKeys("zzz").empty());
 }
 
-TEST_P(ObjectStoreConformance, AccountingTracksTraffic) {
-  ASSERT_TRUE(store_->Put("a", Blob("x", 50)).ok());
-  ASSERT_TRUE(store_->Put("b", Blob("y", 70)).ok());
-  ASSERT_TRUE(store_->Get("a").ok());
-  ASSERT_TRUE(store_->Get("a").ok());
+TEST(InMemoryObjectStoreTest, AccountingTracksTraffic) {
+  InMemoryObjectStore store;
+  ASSERT_TRUE(store.Put("a", Blob("x", 50)).ok());
+  ASSERT_TRUE(store.Put("b", Blob("y", 70)).ok());
+  ASSERT_TRUE(store.Get("a").ok());
+  ASSERT_TRUE(store.Get("a").ok());
 
-  const StoreAccounting acc = store_->accounting();
+  const StoreAccounting acc = store.accounting();
   EXPECT_EQ(acc.logical_bytes_stored, 120u);
   EXPECT_EQ(acc.peak_logical_bytes, 120u);
   EXPECT_EQ(acc.network_bytes_uploaded, 120u);
@@ -105,50 +85,27 @@ TEST_P(ObjectStoreConformance, AccountingTracksTraffic) {
   EXPECT_EQ(acc.get_count, 2u);
 }
 
-TEST_P(ObjectStoreConformance, PeakSurvivesDeletes) {
-  ASSERT_TRUE(store_->Put("a", Blob("x", 500)).ok());
-  ASSERT_TRUE(store_->Delete("a").ok());
-  ASSERT_TRUE(store_->Put("b", Blob("y", 100)).ok());
-  const StoreAccounting acc = store_->accounting();
+TEST(InMemoryObjectStoreTest, PeakSurvivesDeletes) {
+  InMemoryObjectStore store;
+  ASSERT_TRUE(store.Put("a", Blob("x", 500)).ok());
+  ASSERT_TRUE(store.Delete("a").ok());
+  ASSERT_TRUE(store.Put("b", Blob("y", 100)).ok());
+  const StoreAccounting acc = store.accounting();
   EXPECT_EQ(acc.logical_bytes_stored, 100u);
   EXPECT_EQ(acc.peak_logical_bytes, 500u);
 }
 
-TEST_P(ObjectStoreConformance, BinaryPayloadSafe) {
+TEST(InMemoryObjectStoreTest, BinaryPayloadSafe) {
+  InMemoryObjectStore store;
   std::vector<uint8_t> raw;
   for (int i = 0; i < 256; ++i) {
     raw.push_back(static_cast<uint8_t>(i));
   }
   ObjectBlob blob(raw, raw.size());
-  ASSERT_TRUE(store_->Put("bin", std::move(blob)).ok());
-  auto got = store_->Get("bin");
+  ASSERT_TRUE(store.Put("bin", std::move(blob)).ok());
+  auto got = store.Get("bin");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->bytes(), raw);
-}
-
-INSTANTIATE_TEST_SUITE_P(Implementations, ObjectStoreConformance,
-                         ::testing::Values("memory", "file"));
-
-TEST(FileBackedObjectStoreTest, PersistsAcrossReopen) {
-  const auto dir = std::filesystem::temp_directory_path() / "pronghorn_persist_test";
-  std::filesystem::remove_all(dir);
-  {
-    auto store = FileBackedObjectStore::Open(dir.string());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("snapshots/f/9", Blob("persisted", 42)).ok());
-  }
-  {
-    auto store = FileBackedObjectStore::Open(dir.string());
-    ASSERT_TRUE(store.ok());
-    auto got = (*store)->Get("snapshots/f/9");
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(std::string(got->bytes().begin(), got->bytes().end()), "persisted");
-    EXPECT_EQ(got->logical_size, 42u);
-    const auto keys = (*store)->ListKeys("");
-    ASSERT_EQ(keys.size(), 1u);
-    EXPECT_EQ(keys[0], "snapshots/f/9");
-  }
-  std::filesystem::remove_all(dir);
 }
 
 // --- Striped-lock concurrency stress --------------------------------------
@@ -248,20 +205,6 @@ TEST(InMemoryObjectStoreStressTest, SerialAccountingMatchesPreStripingSemantics)
   EXPECT_EQ(acc.delete_count, 1u);
   // Flat store: physical mirrors logical.
   EXPECT_EQ(acc.physical.flat_bytes_stored, acc.physical.bytes_stored);
-}
-
-TEST(FileBackedObjectStoreTest, KeyEscapingHandlesSlashesAndPercents) {
-  const auto dir = std::filesystem::temp_directory_path() / "pronghorn_escape_test";
-  std::filesystem::remove_all(dir);
-  auto store = FileBackedObjectStore::Open(dir.string());
-  ASSERT_TRUE(store.ok());
-  const std::string tricky = "a/b%c/d%%2F";
-  ASSERT_TRUE((*store)->Put(tricky, Blob("v", 1)).ok());
-  EXPECT_TRUE((*store)->Contains(tricky));
-  const auto keys = (*store)->ListKeys("");
-  ASSERT_EQ(keys.size(), 1u);
-  EXPECT_EQ(keys[0], tricky);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ TEST(ServiceProtocolTest, EverySingleBitFlipIsRejected) {
 
 TEST(ServiceProtocolTest, RandomBitRotFromFaultInjectionIsRejected) {
   // The same primitive the chaos layer uses for blob corruption
-  // (FaultyObjectStore's corruption_rate) must never slip through the frame
+  // (FaultySnapshotStore's corruption_rate) must never slip through the frame
   // check either.
   Rng rng(505);
   for (int trial = 0; trial < 300; ++trial) {

@@ -1,13 +1,14 @@
 // The dedup snapshot store battery: legacy-accounting parity with the flat
-// adapter, chunk refcount/GC invariants, lazy-vs-eager byte identity,
+// store, chunk refcount/GC invariants, lazy-vs-eager byte identity,
 // pin/zombie semantics, chunk-granular chaos (copy-on-write corruption,
 // manifest CRC), orchestrator-level recovery under chunk faults, and fleet
 // digest bit-identity with the store swapped flat <-> dedup under chaos at
-// several thread counts.
+// several thread counts, pinned to absolute digests.
 
 #include "src/store/snapshot_store.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -418,9 +419,101 @@ TEST(SnapshotStoreTest, OrchestratorRecoversFromChunkFaults) {
 
 // --- Digest bit-identity across store builds ----------------------------
 
+// The fault flags of a pronghorn_sim run: `--fault-rate 0.1 --fault-corrupt
+// 0.02`, plus `--fault-torn 0.05 --fault-outage 1:3 --fault-latency
+// 4:6:250` when `full`.
+FaultPlan CliFaultPlan(bool full) {
+  FaultPlan plan;
+  plan.get_failure_rate = 0.1;
+  plan.put_failure_rate = 0.1;
+  plan.delete_failure_rate = 0.1;
+  plan.metadata_failure_rate = 0.1;
+  plan.corruption_rate = 0.02;
+  if (full) {
+    plan.torn_write_rate = 0.05;
+    FaultWindow outage;
+    outage.kind = FaultWindow::Kind::kOutage;
+    outage.start = TimePoint() + Duration::Seconds(1);
+    outage.end = TimePoint() + Duration::Seconds(3);
+    FaultWindow latency;
+    latency.kind = FaultWindow::Kind::kLatency;
+    latency.start = TimePoint() + Duration::Seconds(4);
+    latency.end = TimePoint() + Duration::Seconds(6);
+    latency.extra_latency = Duration::Millis(250);
+    plan.windows = {outage, latency};
+  }
+  return plan;
+}
+
+// The digest pronghorn_sim prints for `--fleet <count> --slots 2` (kFleet)
+// or `--platform=<count>` (kPlatform) at the default seed and policy with
+// `--eviction 4`, so the constants below can be re-derived from the CLI.
+uint32_t CliDigest(SimTopology topology, size_t count, uint64_t requests,
+                   uint32_t threads, SnapshotStoreOptions::Kind store,
+                   const FaultPlan& faults) {
+  const auto evaluation = WorkloadRegistry::Default().EvaluationSet();
+  std::vector<RequestCentricPolicy> policies;
+  policies.reserve(count);  // The specs point into it: no reallocation.
+  std::vector<SimFunctionSpec> specs;
+  for (size_t i = 0; i < count; ++i) {
+    const WorkloadProfile& profile = *evaluation[i % evaluation.size()];
+    PolicyConfig config;
+    config.beta = 4;
+    config.pool_capacity = 12;
+    config.max_checkpoint_request = profile.family == RuntimeFamily::kJvm ? 200 : 100;
+    auto policy = RequestCentricPolicy::Create(config);
+    EXPECT_TRUE(policy.ok());
+    policies.push_back(*std::move(policy));
+    SimFunctionSpec spec;
+    if (topology == SimTopology::kFleet) {
+      char name[64];
+      std::snprintf(name, sizeof(name), "f%04zu-%s", i, profile.name.c_str());
+      spec.name = name;
+    } else {
+      spec.name = profile.name;
+    }
+    spec.profile = &profile;
+    spec.policy = &policies.back();
+    spec.requests = requests;
+    specs.push_back(std::move(spec));
+  }
+  SimOptions options;
+  options.seed = 42;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 4;
+  options.faults = faults;
+  options.store.kind = store;
+  if (topology == SimTopology::kFleet) {
+    options.threads = threads;
+    options.worker_slots = 2;
+    options.exploring_slots = 1;
+  }
+  auto report = Simulate(WorkloadRegistry::Default(), topology, specs, options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report->Digest() : 0u;
+}
+
 // The tentpole contract: a fleet run under chaos produces the same digest
-// whichever store build backs it, at any thread count.
+// whichever store build backs it, at any thread count — and that digest is
+// pinned to an absolute value, so a drift moving both builds together fails.
 TEST(SnapshotStoreTest, FleetDigestsBitIdenticalFlatVsDedupUnderChaos) {
+  constexpr SnapshotStoreOptions::Kind kFlat = SnapshotStoreOptions::Kind::kFlat;
+  constexpr SnapshotStoreOptions::Kind kDedup = SnapshotStoreOptions::Kind::kDedup;
+  for (const SnapshotStoreOptions::Kind kind : {kFlat, kDedup}) {
+    const char* label = kind == kFlat ? "flat" : "dedup";
+    for (const uint32_t threads : {1u, 8u}) {
+      EXPECT_EQ(CliDigest(SimTopology::kFleet, 6, 150, threads, kind, CliFaultPlan(false)),
+                0xa277a863u)
+          << label << ", threads=" << threads;
+      EXPECT_EQ(CliDigest(SimTopology::kFleet, 6, 150, threads, kind, CliFaultPlan(true)),
+                0xd274d652u)
+          << label << " full faults, threads=" << threads;
+    }
+    EXPECT_EQ(CliDigest(SimTopology::kPlatform, 4, 400, 0, kind, CliFaultPlan(true)),
+              0x10a5938du)
+        << label << " platform";
+  }
+
   const auto profile = WorkloadRegistry::Default().Find("DynamicHTML");
   ASSERT_TRUE(profile.ok());
   const auto policy = RequestCentricPolicy::Create(RecoveryConfig());

@@ -968,8 +968,8 @@ int main(int argc, char** argv) {
                 "dedup store: probability a snapshot manifest gets one bit "
                 "flipped after a successful put, in [0,1]");
   flags.AddFlag("store", "flat",
-                "snapshot store build: flat (compatibility adapter over the "
-                "object store) | dedup (content-addressed chunks; digests are "
+                "snapshot store build: flat (one whole-blob object per "
+                "snapshot) | dedup (content-addressed chunks; digests are "
                 "bit-identical either way)");
   flags.AddFlag("chunk-size", "4096",
                 "dedup store: fixed cut size / CDC target average, in bytes");

@@ -495,10 +495,8 @@ Result<uint64_t> Orchestrator::CollectOrphanedObjects() {
       collected += 1;
     }
   }
+  // Each delete reclaims the chunks it held last; nothing is left to collect.
   recovery_.orphans_collected += collected;
-  // Dropped manifests release chunk references; reclaim the unreferenced
-  // chunks in the same sweep (no-op, returning 0, on flat stores).
-  (void)snapshot_store_.CollectGarbage();
   return collected;
 }
 

@@ -12,10 +12,11 @@
 //     that would shift every fixed boundary, at slightly higher CPU cost —
 //     this is the delta-encoding mechanism between adjacent pool snapshots.
 //
-// Chunk identity is a 128-bit composite (FNV-1a 64 over the bytes, plus a
-// second independently-mixed stream) so accidental collisions are out of
+// Chunk identity is a 128-bit digest: two independently mixed 64-bit lanes
+// over the bytes, read eight at a time, so accidental collisions are out of
 // reach for any simulation-scale corpus; equality of keys is treated as
-// equality of content.
+// equality of content. Keys live only in memory (manifests are never
+// persisted across processes), so the digest may change between versions.
 
 #ifndef PRONGHORN_SRC_STORE_CHUNKER_H_
 #define PRONGHORN_SRC_STORE_CHUNKER_H_

@@ -1,7 +1,6 @@
 #include "src/store/snapshot_store.h"
 
 #include <algorithm>
-#include <set>
 #include <span>
 #include <utility>
 
@@ -14,9 +13,9 @@ namespace {
 
 constexpr uint32_t kManifestMagic = 0x504d414e;  // "NAMP"
 constexpr uint8_t kManifestVersion = 1;
-// Refcount-0 chunks are reclaimed opportunistically once the backlog passes
-// this bound, so long fleet runs stay memory-bounded between explicit GCs.
-constexpr uint64_t kAutoCollectBytes = 64ull << 20;
+// Smallest encoding of one chunk-table row: two fixed 64-bit words and a
+// one-byte varint size.
+constexpr size_t kMinChunkRowBytes = 17;
 
 // The prefix under which adjacent pool snapshots share content: everything
 // up to and including the last '/' ("snapshots/<function>/").
@@ -25,7 +24,115 @@ std::string_view KeyPrefix(std::string_view key) {
   return slash == std::string_view::npos ? std::string_view{} : key.substr(0, slash + 1);
 }
 
+// Decodes a CRC-checked manifest body. A read past its end comes back as
+// the reader's kOutOfRange; DecodeSnapshotManifest reports it as kDataLoss.
+Status DecodeManifestBody(std::span<const uint8_t> body, SnapshotManifest& out) {
+  ByteReader reader(body);
+  PRONGHORN_ASSIGN_OR_RETURN(const uint32_t magic, reader.ReadUint32());
+  if (magic != kManifestMagic) {
+    return DataLossError("bad snapshot manifest magic");
+  }
+  PRONGHORN_ASSIGN_OR_RETURN(const uint8_t version, reader.ReadUint8());
+  if (version != kManifestVersion) {
+    return DataLossError("unsupported snapshot manifest version");
+  }
+  PRONGHORN_ASSIGN_OR_RETURN(out.logical_size, reader.ReadVarint());
+  PRONGHORN_ASSIGN_OR_RETURN(out.encoded_size, reader.ReadVarint());
+  PRONGHORN_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
+  // Bound every count by the bytes left before reserving for it.
+  if (count > reader.remaining() / kMinChunkRowBytes) {
+    return DataLossError("snapshot manifest chunk count exceeds its frame");
+  }
+  out.chunks.clear();
+  out.chunks.reserve(count);
+  uint64_t total = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    ManifestChunk& row = out.chunks.emplace_back();
+    PRONGHORN_ASSIGN_OR_RETURN(row.key.hi, reader.ReadUint64());
+    PRONGHORN_ASSIGN_OR_RETURN(row.key.lo, reader.ReadUint64());
+    PRONGHORN_ASSIGN_OR_RETURN(const uint64_t size, reader.ReadVarint());
+    if (size > UINT32_MAX) {
+      return DataLossError("snapshot manifest chunk size exceeds 32 bits");
+    }
+    if (size > out.encoded_size - total) {
+      return DataLossError("snapshot manifest chunk sizes exceed its size");
+    }
+    row.size = static_cast<uint32_t>(size);
+    total += size;
+  }
+  if (total != out.encoded_size) {
+    return DataLossError("snapshot manifest chunk sizes do not sum to its size");
+  }
+  PRONGHORN_ASSIGN_OR_RETURN(const uint8_t recorded, reader.ReadUint8());
+  if (recorded > 1) {
+    return DataLossError("bad snapshot manifest working-set flag");
+  }
+  out.ws_recorded = recorded == 1;
+  PRONGHORN_ASSIGN_OR_RETURN(const uint64_t ws_count, reader.ReadVarint());
+  if (ws_count > reader.remaining()) {
+    return DataLossError("snapshot manifest working set exceeds its frame");
+  }
+  out.working_set.clear();
+  out.working_set.reserve(ws_count);
+  for (uint64_t i = 0; i < ws_count; ++i) {
+    PRONGHORN_ASSIGN_OR_RETURN(const uint64_t index, reader.ReadVarint());
+    if (index >= count) {
+      return DataLossError("snapshot manifest working-set index out of range");
+    }
+    out.working_set.push_back(static_cast<uint32_t>(index));
+  }
+  if (!reader.AtEnd()) {
+    return DataLossError("trailing bytes after snapshot manifest");
+  }
+  return OkStatus();
+}
+
 }  // namespace
+
+// --- Manifest codec ----------------------------------------------------------
+
+std::vector<uint8_t> EncodeSnapshotManifest(const SnapshotManifest& manifest) {
+  ByteWriter writer;
+  writer.Reserve(manifest.chunks.size() * 20 + manifest.working_set.size() * 2 + 40);
+  writer.WriteUint32(kManifestMagic);
+  writer.WriteUint8(kManifestVersion);
+  writer.WriteVarint(manifest.logical_size);
+  writer.WriteVarint(manifest.encoded_size);
+  writer.WriteVarint(manifest.chunks.size());
+  for (const ManifestChunk& row : manifest.chunks) {
+    writer.WriteUint64(row.key.hi);
+    writer.WriteUint64(row.key.lo);
+    writer.WriteVarint(row.size);
+  }
+  // REAP working set: the chunk indexes the first restore transferred,
+  // persisted into the snapshot's metadata so later restores prefetch them.
+  writer.WriteUint8(manifest.ws_recorded ? 1 : 0);
+  writer.WriteVarint(manifest.working_set.size());
+  for (const uint32_t index : manifest.working_set) {
+    writer.WriteVarint(index);
+  }
+  const uint32_t crc = Crc32(writer.data());
+  writer.WriteUint32(crc);
+  return writer.TakeData();
+}
+
+Status DecodeSnapshotManifest(std::span<const uint8_t> frame, SnapshotManifest& out) {
+  if (frame.size() < 4) {
+    return DataLossError("snapshot manifest truncated");
+  }
+  const std::span<const uint8_t> body = frame.first(frame.size() - 4);
+  ByteReader crc_reader(frame.subspan(frame.size() - 4));
+  PRONGHORN_ASSIGN_OR_RETURN(const uint32_t stored_crc, crc_reader.ReadUint32());
+  if (Crc32(body) != stored_crc) {
+    return DataLossError("snapshot manifest CRC mismatch");
+  }
+  const Status status = DecodeManifestBody(body, out);
+  if (!status.ok() && status.code() != StatusCode::kDataLoss) {
+    // A read past the end of the body: a truncated frame.
+    return DataLossError("snapshot manifest truncated: " + status.message());
+  }
+  return status;
+}
 
 // --- SnapshotStore defaults --------------------------------------------------
 
@@ -108,32 +215,30 @@ std::vector<std::string> FlatSnapshotStore::ListSnapshots(
 
 class DedupSnapshotStore::Reader final : public SnapshotReader {
  public:
-  Reader(DedupSnapshotStore* store, std::shared_ptr<ManifestEntry> manifest,
-         SnapshotRef ref, std::vector<ChunkKey> chunks, std::vector<uint32_t> sizes,
-         std::string key)
+  Reader(DedupSnapshotStore* store, std::shared_ptr<ManifestEntry> entry,
+         SnapshotRef ref, SnapshotManifest parsed)
       : store_(store),
-        manifest_(std::move(manifest)),
+        entry_(std::move(entry)),
         ref_(std::move(ref)),
-        chunks_(std::move(chunks)),
-        sizes_(std::move(sizes)),
-        key_(std::move(key)) {}
+        parsed_(std::move(parsed)) {}
 
-  ~Reader() override { store_->CloseReader(manifest_); }
+  ~Reader() override {
+    std::lock_guard<std::mutex> lock(store_->mutex_);
+    store_->UnpinLocked(entry_);
+  }
 
   const SnapshotRef& ref() const override { return ref_; }
 
   Result<ObjectBlob> ReadAll() override {
     std::lock_guard<std::mutex> lock(store_->mutex_);
-    return store_->ReadAllLocked(manifest_, chunks_, sizes_, key_);
+    return store_->ReadAllLocked(*entry_, parsed_);
   }
 
  private:
   DedupSnapshotStore* store_;
-  std::shared_ptr<ManifestEntry> manifest_;
+  std::shared_ptr<ManifestEntry> entry_;  // Pinned until destruction.
   SnapshotRef ref_;
-  std::vector<ChunkKey> chunks_;
-  std::vector<uint32_t> sizes_;
-  std::string key_;
+  SnapshotManifest parsed_;  // Decoded from the manifest frame at open.
 };
 
 DedupSnapshotStore::DedupSnapshotStore(SnapshotStoreOptions options, SimClock* clock)
@@ -144,244 +249,204 @@ void DedupSnapshotStore::set_obs(ObsSink* obs, ObsTrack track) {
   obs_track_ = track;
 }
 
-std::shared_ptr<DedupSnapshotStore::ManifestEntry> DedupSnapshotStore::FindLocked(
+DedupSnapshotStore::ManifestEntry* DedupSnapshotStore::FindLocked(
     std::string_view key) const {
   const auto it = manifests_.find(key);
-  return it == manifests_.end() ? nullptr : it->second;
+  return it == manifests_.end() ? nullptr : it->second.get();
 }
 
-void DedupSnapshotStore::SerializeManifestLocked(ManifestEntry& manifest) {
-  ByteWriter writer;
-  writer.Reserve(manifest.chunks.size() * 20 + 64);
-  writer.WriteUint32(kManifestMagic);
-  writer.WriteUint8(kManifestVersion);
-  writer.WriteVarint(manifest.logical_size);
-  writer.WriteVarint(manifest.encoded_size);
-  writer.WriteVarint(manifest.chunks.size());
-  for (size_t i = 0; i < manifest.chunks.size(); ++i) {
-    writer.WriteUint64(manifest.chunks[i].hi);
-    writer.WriteUint64(manifest.chunks[i].lo);
-    writer.WriteVarint(manifest.sizes[i]);
+void DedupSnapshotStore::UnrefChunkLocked(ChunkIndex::iterator it) {
+  if (it == chunks_.end() || it->second.refs == 0) {
+    return;  // CheckInvariants() surfaces ledger damage; never underflow.
   }
-  // REAP working set: the chunk indexes the first restore transferred,
-  // persisted into the snapshot's metadata so later restores prefetch them.
-  writer.WriteUint8(manifest.ws_recorded ? 1 : 0);
-  writer.WriteVarint(manifest.working_set.size());
-  for (const uint32_t index : manifest.working_set) {
-    writer.WriteVarint(index);
-  }
-  const uint32_t crc = Crc32(writer.data());
-  writer.WriteUint32(crc);
-  manifest.serialized = writer.TakeData();
-}
-
-Status DedupSnapshotStore::ParseManifestLocked(const ManifestEntry& manifest,
-                                               std::vector<ChunkKey>& chunks,
-                                               std::vector<uint32_t>& sizes) const {
-  const std::span<const uint8_t> bytes(manifest.serialized);
-  if (bytes.size() < 4) {
-    return DataLossError("snapshot manifest truncated");
-  }
-  const std::span<const uint8_t> body = bytes.first(bytes.size() - 4);
-  ByteReader crc_reader(bytes.subspan(bytes.size() - 4));
-  PRONGHORN_ASSIGN_OR_RETURN(const uint32_t stored_crc, crc_reader.ReadUint32());
-  if (Crc32(body) != stored_crc) {
-    return DataLossError("snapshot manifest CRC mismatch");
-  }
-  ByteReader reader(body);
-  PRONGHORN_ASSIGN_OR_RETURN(const uint32_t magic, reader.ReadUint32());
-  if (magic != kManifestMagic) {
-    return DataLossError("bad snapshot manifest magic");
-  }
-  PRONGHORN_ASSIGN_OR_RETURN(const uint8_t version, reader.ReadUint8());
-  if (version != kManifestVersion) {
-    return DataLossError("unsupported snapshot manifest version");
-  }
-  PRONGHORN_ASSIGN_OR_RETURN(uint64_t logical, reader.ReadVarint());
-  PRONGHORN_ASSIGN_OR_RETURN(uint64_t encoded, reader.ReadVarint());
-  (void)logical;
-  (void)encoded;
-  PRONGHORN_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
-  chunks.clear();
-  sizes.clear();
-  chunks.reserve(count);
-  sizes.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ChunkKey key;
-    PRONGHORN_ASSIGN_OR_RETURN(key.hi, reader.ReadUint64());
-    PRONGHORN_ASSIGN_OR_RETURN(key.lo, reader.ReadUint64());
-    PRONGHORN_ASSIGN_OR_RETURN(const uint64_t size, reader.ReadVarint());
-    chunks.push_back(key);
-    sizes.push_back(static_cast<uint32_t>(size));
-  }
-  return OkStatus();
-}
-
-uint64_t DedupSnapshotStore::RefChunkLocked(const ChunkKey& key,
-                                            std::span<const uint8_t> bytes) {
-  auto it = chunks_.find(key);
-  if (it != chunks_.end()) {
-    if (it->second.refs == 0) {
-      // Resurrected from the GC backlog before collection reclaimed it.
-      garbage_bytes_ -= it->second.bytes.size();
-      garbage_chunks_ -= 1;
-    }
-    it->second.refs += 1;
-    return 0;
-  }
-  ChunkEntry entry;
-  entry.bytes.assign(bytes.begin(), bytes.end());
-  entry.refs = 1;
-  chunks_.emplace(key, std::move(entry));
-  accounting_.physical.bytes_stored += bytes.size();
-  accounting_.physical.chunks_stored += 1;
-  return bytes.size();
-}
-
-void DedupSnapshotStore::ReleaseManifestLocked(ManifestEntry& manifest) {
-  for (const ChunkKey& key : manifest.chunks) {
-    auto it = chunks_.find(key);
-    if (it == chunks_.end() || it->second.refs == 0) {
-      continue;  // CheckInvariants() surfaces ledger damage; never underflow.
-    }
-    it->second.refs -= 1;
-    if (it->second.refs == 0) {
-      garbage_bytes_ += it->second.bytes.size();
-      garbage_chunks_ += 1;
-    }
-  }
-  accounting_.physical.chunk_refs -= manifest.chunks.size();
-  accounting_.physical.bytes_stored -= manifest.serialized.size();
-  manifest.chunks.clear();
-  manifest.sizes.clear();
-  manifest.serialized.clear();
-  if (garbage_bytes_ > kAutoCollectBytes) {
-    (void)CollectLocked();
-  }
-}
-
-uint64_t DedupSnapshotStore::CollectLocked() {
-  uint64_t collected = 0;
-  for (auto it = chunks_.begin(); it != chunks_.end();) {
-    if (it->second.refs != 0) {
-      ++it;
-      continue;
-    }
-    const uint64_t size = it->second.bytes.size();
-    accounting_.physical.bytes_stored -= size;
-    accounting_.physical.chunks_stored -= 1;
-    accounting_.physical.chunks_collected += 1;
-    accounting_.physical.bytes_collected += size;
-    it = chunks_.erase(it);
-    collected += 1;
-  }
-  garbage_bytes_ = 0;
-  garbage_chunks_ = 0;
-  return collected;
-}
-
-void DedupSnapshotStore::TouchCacheLocked(const ChunkKey& key, uint32_t size) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.first);
+  ChunkEntry& chunk = it->second;
+  chunk.refs -= 1;
+  if (chunk.refs > 0) {
     return;
   }
-  cache_lru_.push_front(key);
-  cache_.emplace(key, std::make_pair(cache_lru_.begin(), size));
-  cache_bytes_ += size;
-  while (cache_bytes_ > options_.chunk_cache_bytes && cache_lru_.size() > 1) {
-    const ChunkKey victim = cache_lru_.back();
-    cache_lru_.pop_back();
-    const auto victim_it = cache_.find(victim);
-    cache_bytes_ -= victim_it->second.second;
-    cache_.erase(victim_it);
+  // Last reference: reclaim now. Readers that already hold the bytes keep
+  // them through their own share of the buffer.
+  if (chunk.cached) {
+    UnlinkCacheLocked(chunk);
+  }
+  const uint64_t size = chunk.bytes->size();
+  PhysicalAccounting& phys = accounting_.physical;
+  phys.bytes_stored -= size;
+  phys.chunks_stored -= 1;
+  phys.chunks_collected += 1;
+  phys.bytes_collected += size;
+  chunks_.erase(it);
+}
+
+void DedupSnapshotStore::UnrefChunkLocked(const ChunkKey& key) {
+  UnrefChunkLocked(chunks_.find(key));
+}
+
+void DedupSnapshotStore::ReleaseManifestLocked(ManifestEntry& entry) {
+  for (const ManifestChunk& row : entry.manifest.chunks) {
+    UnrefChunkLocked(row.key);
+  }
+  for (const ChunkKey& key : entry.retained) {
+    UnrefChunkLocked(key);
+  }
+  accounting_.physical.chunk_refs -= entry.manifest.chunks.size() + entry.retained.size();
+  accounting_.physical.bytes_stored -= entry.serialized.size();
+  entry.manifest.chunks.clear();
+  entry.retained.clear();
+  entry.serialized.clear();
+}
+
+void DedupSnapshotStore::RetireLocked(std::shared_ptr<ManifestEntry> entry) {
+  if (entry->pins > 0) {
+    entry->zombie = true;
+    zombies_.push_back(std::move(entry));
+  } else {
+    ReleaseManifestLocked(*entry);
   }
 }
 
-bool DedupSnapshotStore::CachedLocked(const ChunkKey& key) const {
-  return cache_.find(key) != cache_.end();
+void DedupSnapshotStore::UnpinLocked(const std::shared_ptr<ManifestEntry>& entry) {
+  if (entry->pins > 0) {
+    entry->pins -= 1;
+  }
+  if (entry->pins > 0) {
+    return;
+  }
+  if (entry->zombie) {
+    ReleaseManifestLocked(*entry);
+    std::erase(zombies_, entry);
+    return;
+  }
+  for (const ChunkKey& key : entry->retained) {
+    UnrefChunkLocked(key);
+  }
+  accounting_.physical.chunk_refs -= entry->retained.size();
+  entry->retained.clear();
 }
 
-void DedupSnapshotStore::CloseReader(const std::shared_ptr<ManifestEntry>& manifest) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (manifest->pins > 0) {
-    manifest->pins -= 1;
+void DedupSnapshotStore::UnlinkCacheLocked(ChunkEntry& chunk) {
+  if (chunk.lru_prev != nullptr) {
+    chunk.lru_prev->lru_next = chunk.lru_next;
+  } else {
+    lru_head_ = chunk.lru_next;
   }
-  if (manifest->pins == 0 && manifest->zombie) {
-    ReleaseManifestLocked(*manifest);
-    std::erase(zombies_, manifest);
+  if (chunk.lru_next != nullptr) {
+    chunk.lru_next->lru_prev = chunk.lru_prev;
+  } else {
+    lru_tail_ = chunk.lru_prev;
+  }
+  chunk.lru_prev = nullptr;
+  chunk.lru_next = nullptr;
+  chunk.cached = false;
+  cache_chunks_ -= 1;
+  cache_bytes_ -= chunk.bytes->size();
+}
+
+void DedupSnapshotStore::TouchCacheLocked(ChunkEntry& chunk) {
+  if (lru_head_ == &chunk) {
+    return;
+  }
+  if (chunk.cached) {
+    UnlinkCacheLocked(chunk);  // Relinked at the head below.
+  }
+  chunk.lru_next = lru_head_;
+  if (lru_head_ != nullptr) {
+    lru_head_->lru_prev = &chunk;
+  } else {
+    lru_tail_ = &chunk;
+  }
+  lru_head_ = &chunk;
+  chunk.cached = true;
+  cache_chunks_ += 1;
+  cache_bytes_ += chunk.bytes->size();
+  // A move to the head leaves the totals as they were, within budget, so
+  // only an insertion evicts.
+  while (cache_bytes_ > options_.chunk_cache_bytes && cache_chunks_ > 1) {
+    UnlinkCacheLocked(*lru_tail_);
   }
 }
 
-Result<ObjectBlob> DedupSnapshotStore::ReadAllLocked(
-    const std::shared_ptr<ManifestEntry>& manifest,
-    const std::vector<ChunkKey>& chunks, const std::vector<uint32_t>& sizes,
-    const std::string& key) {
+Result<ObjectBlob> DedupSnapshotStore::ReadAllLocked(ManifestEntry& entry,
+                                                     const SnapshotManifest& parsed) {
+  // One index probe per chunk: resolve them all before touching any books.
+  const size_t count = parsed.chunks.size();
+  SmallVector<ChunkEntry*, 4> resident;
+  resident.reserve(count);
+  for (const ManifestChunk& row : parsed.chunks) {
+    const auto it = chunks_.find(row.key);
+    if (it == chunks_.end()) {
+      return DataLossError("snapshot chunk missing from index");
+    }
+    resident.push_back(&it->second);
+  }
+
   PhysicalAccounting& phys = accounting_.physical;
   const uint64_t fetched_before = phys.bytes_fetched;
   const bool lazy = options_.lazy_restore;
-  const bool recording = lazy && !manifest->ws_recorded;
+  const bool recording = lazy && !entry.manifest.ws_recorded;
 
   // REAP prefetch: the recorded working set is transferred up front (one
   // batched fetch), so a warm later restore pays only for what the first
   // restore actually touched.
-  if (lazy && manifest->ws_recorded) {
-    for (const uint32_t index : manifest->working_set) {
-      if (index >= chunks.size() || CachedLocked(chunks[index])) {
+  if (lazy && entry.manifest.ws_recorded) {
+    for (const uint32_t index : entry.manifest.working_set) {
+      if (index >= count || resident[index]->cached) {
         continue;
       }
       phys.chunks_fetched += 1;
       phys.chunks_prefetched += 1;
-      phys.bytes_fetched += sizes[index];
-      TouchCacheLocked(chunks[index], sizes[index]);
+      phys.bytes_fetched += resident[index]->bytes->size();
+      TouchCacheLocked(*resident[index]);
     }
   }
 
-  std::vector<uint8_t> assembled;
-  std::vector<uint32_t> transferred;
-  uint64_t total = 0;
-  for (const uint32_t size : sizes) {
-    total += size;
-  }
-  assembled.reserve(total);
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const auto it = chunks_.find(chunks[i]);
-    if (it == chunks_.end()) {
-      return DataLossError("snapshot chunk missing from index");
-    }
+  SmallVector<uint32_t, 4> transferred;
+  for (size_t i = 0; i < count; ++i) {
+    ChunkEntry& chunk = *resident[i];
     if (!lazy) {
       phys.chunks_fetched += 1;
-      phys.bytes_fetched += it->second.bytes.size();
-    } else if (CachedLocked(chunks[i])) {
+      phys.bytes_fetched += chunk.bytes->size();
+    } else if (chunk.cached) {
       phys.cache_hits += 1;
-      TouchCacheLocked(chunks[i], sizes[i]);
+      TouchCacheLocked(chunk);
     } else {
       phys.chunks_fetched += 1;
-      phys.bytes_fetched += it->second.bytes.size();
-      TouchCacheLocked(chunks[i], sizes[i]);
+      phys.bytes_fetched += chunk.bytes->size();
+      TouchCacheLocked(chunk);
       if (recording) {
         transferred.push_back(static_cast<uint32_t>(i));
       } else {
         phys.demand_faults += 1;
       }
     }
-    assembled.insert(assembled.end(), it->second.bytes.begin(),
-                     it->second.bytes.end());
+  }
+
+  ObjectBlob blob;
+  blob.logical_size = entry.manifest.logical_size;
+  if (count == 1) {
+    blob.data = resident[0]->bytes;  // The stored buffer itself; no copy.
+  } else {
+    std::vector<uint8_t> assembled;
+    assembled.reserve(parsed.encoded_size);
+    for (const ChunkEntry* chunk : resident) {
+      assembled.insert(assembled.end(), chunk->bytes->begin(), chunk->bytes->end());
+    }
+    blob.data = std::make_shared<const std::vector<uint8_t>>(std::move(assembled));
   }
 
   if (recording) {
     // First restore: persist the transferred set into the snapshot's
     // metadata so later restores prefetch exactly this set.
-    manifest->working_set = std::move(transferred);
-    manifest->ws_recorded = true;
-    phys.bytes_stored -= manifest->serialized.size();
-    SerializeManifestLocked(*manifest);
-    phys.bytes_stored += manifest->serialized.size();
+    entry.manifest.working_set = std::move(transferred);
+    entry.manifest.ws_recorded = true;
+    phys.bytes_stored -= entry.serialized.size();
+    entry.serialized = EncodeSnapshotManifest(entry.manifest);
+    phys.bytes_stored += entry.serialized.size();
     phys.peak_bytes = std::max(phys.peak_bytes, phys.bytes_stored);
   }
 
-  const uint64_t fetched = phys.bytes_fetched - fetched_before;
   if (obs_ != nullptr) {
+    const uint64_t fetched = phys.bytes_fetched - fetched_before;
     obs_->Counter("store.chunk_fetches", 1);
     obs_->Counter("store.chunk_bytes_fetched", fetched);
     // Span duration is a visualization aid (1us per KiB ~ 1 GiB/s), not
@@ -389,9 +454,8 @@ Result<ObjectBlob> DedupSnapshotStore::ReadAllLocked(
     obs_->Span(obs_track_, "chunk_fetch", "store",
                clock_ != nullptr ? clock_->now() : TimePoint(),
                Duration::Micros(static_cast<int64_t>(fetched / 1024)));
-    (void)key;
   }
-  return ObjectBlob(std::move(assembled), manifest->logical_size);
+  return blob;
 }
 
 Result<SnapshotRef> DedupSnapshotStore::PutSnapshot(std::string_view key,
@@ -399,14 +463,27 @@ Result<SnapshotRef> DedupSnapshotStore::PutSnapshot(std::string_view key,
   if (key.empty()) {
     return InvalidArgumentError("object key must be non-empty");
   }
+  // Chunking, hashing and the manifest frame depend only on the bytes, so
+  // they are built before the lock is taken.
+  const std::span<const uint8_t> payload(blob.bytes());
+  const std::vector<ChunkSpan> spans = SplitChunks(payload, options_.chunker);
+  auto entry = std::make_shared<ManifestEntry>();
+  SnapshotManifest& manifest = entry->manifest;
+  manifest.logical_size = blob.logical_size;
+  manifest.encoded_size = payload.size();
+  manifest.chunks.reserve(spans.size());
+  for (const ChunkSpan& span : spans) {
+    manifest.chunks.push_back(ManifestChunk{span.key, span.size});
+  }
+  entry->serialized = EncodeSnapshotManifest(manifest);
+
   std::lock_guard<std::mutex> lock(mutex_);
   PhysicalAccounting& phys = accounting_.physical;
-
   const auto existing = manifests_.find(key);
-  const uint64_t old_logical =
-      existing == manifests_.end() ? 0 : existing->second->logical_size;
-  const uint64_t old_encoded =
-      existing == manifests_.end() ? 0 : existing->second->encoded_size;
+  const ManifestEntry* replaced =
+      existing == manifests_.end() ? nullptr : existing->second.get();
+  const uint64_t old_logical = replaced == nullptr ? 0 : replaced->manifest.logical_size;
+  const uint64_t old_encoded = replaced == nullptr ? 0 : replaced->manifest.encoded_size;
   // Digest-covered logical arithmetic: byte-for-byte the same rules as
   // InMemoryObjectStore::Put, so flat and dedup runs report identical
   // logical accounting.
@@ -417,96 +494,110 @@ Result<SnapshotRef> DedupSnapshotStore::PutSnapshot(std::string_view key,
   accounting_.network_bytes_uploaded += blob.logical_size;
   accounting_.put_count += 1;
 
-  if (existing != manifests_.end()) {
-    std::shared_ptr<ManifestEntry> old = existing->second;
-    manifests_.erase(existing);
-    if (old->pins > 0) {
-      old->zombie = true;
-      zombies_.push_back(std::move(old));
-    } else {
-      ReleaseManifestLocked(*old);
-    }
-  }
-
-  const std::vector<ChunkSpan> spans = SplitChunks(blob.bytes(), options_.chunker);
-  auto manifest = std::make_shared<ManifestEntry>();
-  manifest->logical_size = blob.logical_size;
-  manifest->encoded_size = blob.bytes().size();
-  manifest->chunks.reserve(spans.size());
-  manifest->sizes.reserve(spans.size());
-
   // Adjacent-delta attribution: chunks shared with the previous snapshot of
-  // this prefix are the delta-encoding savings between pool neighbors.
-  std::set<ChunkKey> previous_chunks;
-  const std::string prefix(KeyPrefix(key));
-  if (const auto last = last_put_by_prefix_.find(prefix);
-      last != last_put_by_prefix_.end()) {
-    if (const auto prev = FindLocked(last->second); prev != nullptr) {
-      previous_chunks.insert(prev->chunks.begin(), prev->chunks.end());
-    }
+  // this prefix are the delta-encoding savings between pool neighbors. A
+  // re-put of the same key has no neighbor (its old manifest is replaced).
+  const std::string_view prefix = KeyPrefix(key);
+  const auto last = last_put_by_prefix_.find(prefix);
+  const ManifestEntry* previous =
+      last == last_put_by_prefix_.end() ? nullptr : FindLocked(last->second);
+  if (previous == replaced) {
+    previous = nullptr;
   }
+  // The neighbor's keys, sorted on the first dedup hit that needs them.
+  SmallVector<ChunkKey, 4> previous_keys;
+  const auto shared_with_previous = [&](const ChunkKey& chunk_key) {
+    if (previous_keys.empty()) {
+      for (const ManifestChunk& row : previous->manifest.chunks) {
+        previous_keys.push_back(row.key);
+      }
+      std::sort(previous_keys.begin(), previous_keys.end());
+    }
+    return std::binary_search(previous_keys.begin(), previous_keys.end(), chunk_key);
+  };
 
+  // Reference the new chunks before the replaced manifest releases its own,
+  // so a re-put of identical content dedups against itself.
   uint64_t unique_added = 0;
-  const std::span<const uint8_t> payload(blob.bytes());
   for (const ChunkSpan& span : spans) {
-    manifest->chunks.push_back(span.key);
-    manifest->sizes.push_back(span.size);
-    const uint64_t stored =
-        RefChunkLocked(span.key, payload.subspan(span.offset, span.size));
-    if (stored == 0) {
+    const auto [it, inserted] = chunks_.try_emplace(span.key);
+    ChunkEntry& chunk = it->second;
+    chunk.refs += 1;
+    if (inserted) {
+      // A one-chunk snapshot adopts the caller's buffer whole.
+      chunk.bytes = spans.size() == 1
+                        ? blob.data
+                        : std::make_shared<const std::vector<uint8_t>>(
+                              payload.begin() + static_cast<ptrdiff_t>(span.offset),
+                              payload.begin() +
+                                  static_cast<ptrdiff_t>(span.offset + span.size));
+      phys.bytes_stored += span.size;
+      phys.chunks_stored += 1;
+      unique_added += span.size;
+    } else {
       phys.dedup_hits += 1;
       phys.dedup_bytes_saved += span.size;
-      if (previous_chunks.count(span.key) > 0) {
+      if (previous != nullptr && shared_with_previous(span.key)) {
         phys.delta_bytes_shared += span.size;
       }
-    } else {
-      unique_added += stored;
     }
   }
   phys.chunk_refs += spans.size();
-  last_put_by_prefix_[prefix] = std::string(key);
+  phys.bytes_stored += entry->serialized.size();
 
-  SerializeManifestLocked(*manifest);
-  phys.bytes_stored += manifest->serialized.size();
+  if (existing != manifests_.end()) {
+    std::shared_ptr<ManifestEntry> old = std::move(existing->second);
+    existing->second = std::move(entry);
+    RetireLocked(std::move(old));
+  } else {
+    manifests_.emplace(std::string(key), std::move(entry));
+  }
+  if (last != last_put_by_prefix_.end()) {
+    last->second.assign(key);
+  } else {
+    last_put_by_prefix_.emplace(std::string(prefix), std::string(key));
+  }
+
   phys.peak_bytes = std::max(phys.peak_bytes, phys.bytes_stored);
   phys.flat_bytes_stored -= old_encoded;
-  phys.flat_bytes_stored += manifest->encoded_size;
+  phys.flat_bytes_stored += payload.size();
   phys.peak_flat_bytes = std::max(phys.peak_flat_bytes, phys.flat_bytes_stored);
 
   SnapshotRef ref;
   ref.key = std::string(key);
-  ref.logical_size = manifest->logical_size;
-  ref.encoded_size = manifest->encoded_size;
+  ref.logical_size = blob.logical_size;
+  ref.encoded_size = payload.size();
   ref.chunk_count = static_cast<uint32_t>(spans.size());
   ref.unique_bytes_added = unique_added;
-  manifests_[ref.key] = std::move(manifest);
   return ref;
 }
 
 Result<std::unique_ptr<SnapshotReader>> DedupSnapshotStore::OpenSnapshot(
     std::string_view key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::shared_ptr<ManifestEntry> manifest = FindLocked(key);
-  if (manifest == nullptr) {
-    return NotFoundError("no object with key '" + std::string(key) + "'");
+  std::shared_ptr<ManifestEntry> entry;
+  SnapshotManifest parsed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = manifests_.find(key);
+    if (it == manifests_.end()) {
+      return NotFoundError("no object with key '" + std::string(key) + "'");
+    }
+    // Digest-covered logical transfer accounting, mirroring the flat Get.
+    accounting_.network_bytes_downloaded += it->second->manifest.logical_size;
+    accounting_.get_count += 1;
+    // Every open checks the frame's CRC and decodes it, so a corrupted
+    // manifest surfaces here as kDataLoss.
+    PRONGHORN_RETURN_IF_ERROR(DecodeSnapshotManifest(it->second->serialized, parsed));
+    entry = it->second;
+    entry->pins += 1;  // Released by the reader's destructor.
   }
-  // Digest-covered logical transfer accounting, mirroring the flat Get.
-  accounting_.network_bytes_downloaded += manifest->logical_size;
-  accounting_.get_count += 1;
-
-  std::vector<ChunkKey> chunks;
-  std::vector<uint32_t> sizes;
-  PRONGHORN_RETURN_IF_ERROR(ParseManifestLocked(*manifest, chunks, sizes));
-
-  manifest->pins += 1;  // Released by the reader's destructor.
   SnapshotRef ref;
   ref.key = std::string(key);
-  ref.logical_size = manifest->logical_size;
-  ref.encoded_size = manifest->encoded_size;
-  ref.chunk_count = static_cast<uint32_t>(chunks.size());
+  ref.logical_size = parsed.logical_size;
+  ref.encoded_size = parsed.encoded_size;
+  ref.chunk_count = static_cast<uint32_t>(parsed.chunks.size());
   return std::unique_ptr<SnapshotReader>(
-      new Reader(this, manifest, std::move(ref), std::move(chunks),
-                 std::move(sizes), std::string(key)));
+      new Reader(this, std::move(entry), std::move(ref), std::move(parsed)));
 }
 
 Status DedupSnapshotStore::DeleteSnapshot(std::string_view key) {
@@ -515,17 +606,12 @@ Status DedupSnapshotStore::DeleteSnapshot(std::string_view key) {
   if (it == manifests_.end()) {
     return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  std::shared_ptr<ManifestEntry> manifest = it->second;
-  accounting_.logical_bytes_stored -= manifest->logical_size;
-  accounting_.delete_count += 1;
-  accounting_.physical.flat_bytes_stored -= manifest->encoded_size;
+  std::shared_ptr<ManifestEntry> entry = std::move(it->second);
   manifests_.erase(it);
-  if (manifest->pins > 0) {
-    manifest->zombie = true;
-    zombies_.push_back(std::move(manifest));
-  } else {
-    ReleaseManifestLocked(*manifest);
-  }
+  accounting_.logical_bytes_stored -= entry->manifest.logical_size;
+  accounting_.delete_count += 1;
+  accounting_.physical.flat_bytes_stored -= entry->manifest.encoded_size;
+  RetireLocked(std::move(entry));
   return OkStatus();
 }
 
@@ -536,43 +622,41 @@ bool DedupSnapshotStore::ContainsSnapshot(std::string_view key) const {
 
 std::vector<std::string> DedupSnapshotStore::ListSnapshots(
     std::string_view prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> keys;
-  for (const auto& [key, manifest] : manifests_) {
-    if (key.size() >= prefix.size() && key.compare(0, prefix.size(), prefix) == 0) {
-      keys.push_back(key);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [key, entry] : manifests_) {
+      if (key.starts_with(prefix)) {
+        keys.push_back(key);
+      }
     }
   }
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
 Status DedupSnapshotStore::Pin(std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::shared_ptr<ManifestEntry> manifest = FindLocked(key);
-  if (manifest == nullptr) {
+  ManifestEntry* entry = FindLocked(key);
+  if (entry == nullptr) {
     return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  manifest->pins += 1;
+  entry->pins += 1;
   return OkStatus();
 }
 
 Status DedupSnapshotStore::Unpin(std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::shared_ptr<ManifestEntry> manifest = FindLocked(key);
-  if (manifest == nullptr) {
+  const auto it = manifests_.find(key);
+  if (it == manifests_.end()) {
     return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  if (manifest->pins == 0) {
+  if (it->second->pins == 0) {
     return FailedPreconditionError("snapshot '" + std::string(key) +
                                    "' is not pinned");
   }
-  manifest->pins -= 1;
+  UnpinLocked(it->second);
   return OkStatus();
-}
-
-uint64_t DedupSnapshotStore::CollectGarbage() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return CollectLocked();
 }
 
 StoreAccounting DedupSnapshotStore::accounting() const {
@@ -582,23 +666,23 @@ StoreAccounting DedupSnapshotStore::accounting() const {
 
 Status DedupSnapshotStore::CorruptChunk(std::string_view key, Rng& rng) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::shared_ptr<ManifestEntry> manifest = FindLocked(key);
-  if (manifest == nullptr) {
+  ManifestEntry* entry = FindLocked(key);
+  if (entry == nullptr) {
     return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  if (manifest->chunks.empty()) {
+  SnapshotManifest& manifest = entry->manifest;
+  if (manifest.chunks.empty()) {
     return FailedPreconditionError("snapshot has no chunks to corrupt");
   }
-  const size_t index =
-      static_cast<size_t>(rng.UniformUint64(manifest->chunks.size()));
-  const ChunkKey old_key = manifest->chunks[index];
-  const auto it = chunks_.find(old_key);
-  if (it == chunks_.end()) {
+  const size_t index = static_cast<size_t>(rng.UniformUint64(manifest.chunks.size()));
+  const ChunkKey old_key = manifest.chunks[index].key;
+  const auto old_it = chunks_.find(old_key);
+  if (old_it == chunks_.end()) {
     return DataLossError("chunk index entry missing");
   }
   // Copy-on-write: the corrupted bytes become a *new* content address, so
   // sibling snapshots sharing the original chunk stay healthy.
-  std::vector<uint8_t> corrupted = it->second.bytes;
+  std::vector<uint8_t> corrupted = *old_it->second.bytes;
   if (corrupted.empty()) {
     return FailedPreconditionError("cannot corrupt an empty chunk");
   }
@@ -606,57 +690,68 @@ Status DedupSnapshotStore::CorruptChunk(std::string_view key, Rng& rng) {
   corrupted[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   const ChunkKey new_key = HashChunk(corrupted);
 
-  if (it->second.refs > 0) {
-    it->second.refs -= 1;
-    if (it->second.refs == 0) {
-      garbage_bytes_ += it->second.bytes.size();
-      garbage_chunks_ += 1;
-    }
+  PhysicalAccounting& phys = accounting_.physical;
+  if (entry->pins > 0) {
+    // Open readers decoded the old chunk table; keep its chunk until the
+    // last of them closes.
+    entry->retained.push_back(old_key);
+    phys.chunk_refs += 1;
+  } else {
+    UnrefChunkLocked(old_it);
   }
-  (void)RefChunkLocked(new_key, corrupted);
-  manifest->chunks[index] = new_key;
-  accounting_.physical.bytes_stored -= manifest->serialized.size();
-  SerializeManifestLocked(*manifest);
-  accounting_.physical.bytes_stored += manifest->serialized.size();
-  accounting_.physical.peak_bytes =
-      std::max(accounting_.physical.peak_bytes, accounting_.physical.bytes_stored);
+  const auto [new_it, inserted] = chunks_.try_emplace(new_key);
+  new_it->second.refs += 1;
+  if (inserted) {
+    phys.bytes_stored += corrupted.size();
+    phys.chunks_stored += 1;
+    new_it->second.bytes =
+        std::make_shared<const std::vector<uint8_t>>(std::move(corrupted));
+  }
+  manifest.chunks[index].key = new_key;
+  phys.bytes_stored -= entry->serialized.size();
+  entry->serialized = EncodeSnapshotManifest(manifest);
+  phys.bytes_stored += entry->serialized.size();
+  phys.peak_bytes = std::max(phys.peak_bytes, phys.bytes_stored);
   return OkStatus();
 }
 
 Status DedupSnapshotStore::CorruptManifest(std::string_view key, Rng& rng) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::shared_ptr<ManifestEntry> manifest = FindLocked(key);
-  if (manifest == nullptr) {
+  ManifestEntry* entry = FindLocked(key);
+  if (entry == nullptr) {
     return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  if (manifest->serialized.empty()) {
+  if (entry->serialized.empty()) {
     return FailedPreconditionError("snapshot manifest is empty");
   }
   // One flipped bit anywhere in the frame; the manifest CRC catches it at
   // the next open, which surfaces as kDataLoss and feeds the quarantine
   // ledger exactly like a corrupt image would.
-  const uint64_t bit = rng.UniformUint64(manifest->serialized.size() * 8);
-  manifest->serialized[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  const uint64_t bit = rng.UniformUint64(entry->serialized.size() * 8);
+  entry->serialized[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   return OkStatus();
 }
 
 Status DedupSnapshotStore::CheckInvariants() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::map<ChunkKey, uint64_t> expected;
+  std::unordered_map<ChunkKey, uint64_t, ChunkKeyHash> expected;
   uint64_t total_refs = 0;
   uint64_t manifest_bytes = 0;
-  const auto fold = [&](const std::shared_ptr<ManifestEntry>& manifest) {
-    for (const ChunkKey& key : manifest->chunks) {
-      expected[key] += 1;
-      total_refs += 1;
+  const auto fold = [&](const ManifestEntry& entry) {
+    for (const ManifestChunk& row : entry.manifest.chunks) {
+      expected[row.key] += 1;
     }
-    manifest_bytes += manifest->serialized.size();
+    for (const ChunkKey& key : entry.retained) {
+      expected[key] += 1;
+    }
+    total_refs += entry.manifest.chunks.size() + entry.retained.size();
+    manifest_bytes += entry.serialized.size();
   };
-  for (const auto& [key, manifest] : manifests_) {
-    fold(manifest);
+  for (const auto& [key, entry] : manifests_) {
+    fold(*entry);
   }
-  for (const auto& manifest : zombies_) {
-    fold(manifest);
+  for (const auto& entry : zombies_) {
+    fold(*entry);
   }
   for (const auto& [key, count] : expected) {
     const auto it = chunks_.find(key);
@@ -668,17 +763,16 @@ Status DedupSnapshotStore::CheckInvariants() const {
     }
   }
   uint64_t chunk_bytes = 0;
-  uint64_t garbage_chunks = 0;
-  for (const auto& [key, entry] : chunks_) {
-    chunk_bytes += entry.bytes.size();
-    if (entry.refs == 0) {
-      garbage_chunks += 1;
-    } else if (expected.find(key) == expected.end()) {
+  uint64_t cached_chunks = 0;
+  for (const auto& [key, chunk] : chunks_) {
+    chunk_bytes += chunk.bytes->size();
+    cached_chunks += chunk.cached ? 1 : 0;
+    if (chunk.refs == 0) {
+      return InternalError("resident chunk has no references");
+    }
+    if (expected.find(key) == expected.end()) {
       return InternalError("chunk holds references no manifest accounts for");
     }
-  }
-  if (garbage_chunks != garbage_chunks_) {
-    return InternalError("garbage chunk counter out of sync");
   }
   if (accounting_.physical.chunk_refs != total_refs) {
     return InternalError("chunk_refs accounting out of sync");
@@ -689,17 +783,27 @@ Status DedupSnapshotStore::CheckInvariants() const {
   if (accounting_.physical.chunks_stored != chunks_.size()) {
     return InternalError("chunks_stored accounting out of sync");
   }
+  uint64_t listed_chunks = 0;
+  uint64_t listed_bytes = 0;
+  const ChunkEntry* prev = nullptr;
+  for (const ChunkEntry* chunk = lru_head_; chunk != nullptr; chunk = chunk->lru_next) {
+    if (!chunk->cached || chunk->lru_prev != prev) {
+      return InternalError("restore cache list is malformed");
+    }
+    listed_chunks += 1;
+    listed_bytes += chunk->bytes->size();
+    prev = chunk;
+  }
+  if (prev != lru_tail_ || listed_chunks != cached_chunks ||
+      listed_chunks != cache_chunks_ || listed_bytes != cache_bytes_) {
+    return InternalError("restore cache books out of sync");
+  }
   return OkStatus();
 }
 
 uint64_t DedupSnapshotStore::resident_chunks() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return chunks_.size();
-}
-
-uint64_t DedupSnapshotStore::unreferenced_chunks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return garbage_chunks_;
 }
 
 }  // namespace pronghorn

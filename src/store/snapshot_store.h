@@ -3,9 +3,10 @@
 //
 //   PutSnapshot    -> SnapshotRef (content digest + chunk manifest summary)
 //   OpenSnapshot   -> lazy chunk reader (pins the snapshot while open)
-//   Pin/Unpin      -> GC protection across reader lifetimes
-//   DeleteSnapshot -> drops the manifest; chunk reclaim is deferred to GC
-//   CollectGarbage -> reclaims chunks no manifest references
+//   Pin/Unpin      -> keeps a snapshot's chunks resident across deletion
+//   DeleteSnapshot -> drops the manifest; chunks no longer referenced are
+//                     reclaimed at once (after the last pin, if pinned)
+//   CollectGarbage -> kept for interface compatibility; nothing to collect
 //
 // Two implementations:
 //
@@ -33,10 +34,9 @@
 #define PRONGHORN_SRC_STORE_SNAPSHOT_STORE_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -45,9 +45,11 @@
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
+#include "src/common/small_vector.h"
 #include "src/obs/sink.h"
 #include "src/store/chunker.h"
 #include "src/store/object_store.h"
+#include "src/store/striping.h"
 
 namespace pronghorn {
 
@@ -90,6 +92,35 @@ struct SnapshotStoreOptions {
   uint64_t chunk_cache_bytes = 16ull << 20;
 };
 
+// One chunk-table row of a dedup snapshot manifest.
+struct ManifestChunk {
+  ChunkKey key;
+  uint32_t size = 0;
+};
+
+// The decoded form of a dedup snapshot manifest: sizes, chunk table and the
+// REAP working set. Inline storage covers the common small snapshot, so a
+// manifest decoded on every open does not touch the heap.
+struct SnapshotManifest {
+  uint64_t logical_size = 0;
+  uint64_t encoded_size = 0;          // Sum of the chunk sizes.
+  SmallVector<ManifestChunk, 4> chunks;
+  bool ws_recorded = false;
+  SmallVector<uint32_t, 4> working_set;  // Chunk indexes transferred at first open.
+};
+
+// Wire format: magic 0x504d414e, version, varint logical/encoded sizes, a
+// varint chunk count and (hi, lo, varint size) per chunk, the working-set
+// flag and varint indexes, then a CRC32 of everything before it.
+std::vector<uint8_t> EncodeSnapshotManifest(const SnapshotManifest& manifest);
+// Decodes a frame from EncodeSnapshotManifest into `out`. Every malformed
+// frame is kDataLoss, never a crash or an allocation out of proportion to
+// the frame: a bad CRC, magic or version; truncation; a chunk count the
+// remaining bytes cannot hold; a chunk size above UINT32_MAX; sizes that do
+// not sum to the encoded size; a working-set index outside the chunk table;
+// trailing bytes.
+Status DecodeSnapshotManifest(std::span<const uint8_t> frame, SnapshotManifest& out);
+
 class SnapshotStore {
  public:
   virtual ~SnapshotStore() = default;
@@ -99,18 +130,22 @@ class SnapshotStore {
   // Opens a pinned reader. kNotFound for unknown keys; kDataLoss when the
   // manifest fails its integrity check.
   virtual Result<std::unique_ptr<SnapshotReader>> OpenSnapshot(std::string_view key) = 0;
-  // Drops the snapshot's manifest. Chunks lose a reference but stay resident
-  // until CollectGarbage (or until a pin on the snapshot is released).
+  // Drops the snapshot's manifest. Each of its chunks loses a reference, and
+  // a chunk whose last reference goes is reclaimed before this returns. A
+  // snapshot pinned at deletion (open reader or explicit pin) keeps its
+  // references until the last pin is released.
   virtual Status DeleteSnapshot(std::string_view key) = 0;
   virtual bool ContainsSnapshot(std::string_view key) const = 0;
   // Keys in lexicographic order, optionally filtered by prefix.
   virtual std::vector<std::string> ListSnapshots(std::string_view prefix = "") const = 0;
 
-  // Explicit GC protection independent of reader lifetimes. Pins nest.
+  // Explicit pins, independent of reader lifetimes: a pinned snapshot keeps
+  // its chunks resident across deletion. Pins nest.
   virtual Status Pin(std::string_view key) = 0;
   virtual Status Unpin(std::string_view key) = 0;
-  // Reclaims every unpinned chunk no manifest references; returns how many
-  // chunks were collected.
+  // Returns how many chunks were reclaimed. Both implementations reclaim at
+  // the last reference, so there is never a backlog and this returns 0; it
+  // stays for callers and decorators that still forward it.
   virtual uint64_t CollectGarbage() = 0;
 
   virtual StoreAccounting accounting() const = 0;
@@ -159,95 +194,97 @@ class DedupSnapshotStore : public SnapshotStore {
   std::vector<std::string> ListSnapshots(std::string_view prefix) const override;
   Status Pin(std::string_view key) override;
   Status Unpin(std::string_view key) override;
-  uint64_t CollectGarbage() override;
+  uint64_t CollectGarbage() override { return 0; }
   StoreAccounting accounting() const override;
 
   // Chaos hooks. CorruptChunk rewrites one uniformly-drawn chunk of `key`'s
   // manifest through copy-on-write (siblings sharing the original chunk are
-  // untouched); CorruptManifest flips one bit of the serialized manifest so
-  // the next open fails its CRC.
+  // untouched, and so are readers already open on `key`); CorruptManifest
+  // flips one bit of the serialized manifest so the next open fails its CRC.
   Status CorruptChunk(std::string_view key, Rng& rng) override;
   Status CorruptManifest(std::string_view key, Rng& rng) override;
 
   void set_obs(ObsSink* obs, ObsTrack track) override;
 
-  // Audit for tests: every manifest reference resolves, refcount totals
-  // match, and the physical byte ledger equals the resident bytes. Returns
-  // the first violation found.
+  // Audit for tests: every manifest reference resolves, refcounts match the
+  // references exactly (so no resident chunk has refcount 0), the physical
+  // byte ledger equals the resident bytes, and the restore cache's books
+  // match its list. Returns the first violation found.
   Status CheckInvariants() const;
 
   // Test introspection.
   uint64_t resident_chunks() const;
-  uint64_t unreferenced_chunks() const;
 
  private:
+  // A resident chunk. `bytes` holds exactly the chunk: a single-chunk put
+  // adopts the caller's buffer, and a single-chunk read hands it back.
+  // The LRU links thread the lazy-restore host cache through the index
+  // itself (entries are node-allocated, so their addresses are stable).
   struct ChunkEntry {
-    std::vector<uint8_t> bytes;
+    std::shared_ptr<const std::vector<uint8_t>> bytes;
     uint64_t refs = 0;
+    ChunkEntry* lru_prev = nullptr;
+    ChunkEntry* lru_next = nullptr;
+    bool cached = false;
   };
   struct ManifestEntry {
-    uint64_t logical_size = 0;
-    uint64_t encoded_size = 0;
-    std::vector<ChunkKey> chunks;      // Authoritative refcount ledger.
-    std::vector<uint32_t> sizes;
+    SnapshotManifest manifest;         // Authoritative refcount ledger.
     std::vector<uint8_t> serialized;   // CRC-framed; the read path's input.
-    std::vector<uint32_t> working_set; // Chunk indexes transferred at first open.
-    bool ws_recorded = false;
+    // Chunks replaced by CorruptChunk while pinned: the open readers still
+    // read them, so their references last until the last pin goes.
+    std::vector<ChunkKey> retained;
     uint64_t pins = 0;
     bool zombie = false;  // Deleted while pinned; released at last unpin.
   };
 
   class Reader;
 
-  // All Locked helpers require mutex_ held.
-  std::shared_ptr<ManifestEntry> FindLocked(std::string_view key) const;
-  void SerializeManifestLocked(ManifestEntry& manifest);
-  Status ParseManifestLocked(const ManifestEntry& manifest,
-                             std::vector<ChunkKey>& chunks,
-                             std::vector<uint32_t>& sizes) const;
-  // Adds one reference to `key`'s chunk (inserting `bytes` when new);
-  // returns bytes actually stored (0 on a dedup hit).
-  uint64_t RefChunkLocked(const ChunkKey& key, std::span<const uint8_t> bytes);
-  void ReleaseManifestLocked(ManifestEntry& manifest);
-  uint64_t CollectLocked();
-  void TouchCacheLocked(const ChunkKey& key, uint32_t size);
-  bool CachedLocked(const ChunkKey& key) const;
-  void CloseReader(const std::shared_ptr<ManifestEntry>& manifest);
-  Result<ObjectBlob> ReadAllLocked(const std::shared_ptr<ManifestEntry>& manifest,
-                                   const std::vector<ChunkKey>& chunks,
-                                   const std::vector<uint32_t>& sizes,
-                                   const std::string& key);
-
   // ChunkKey is itself a 128-bit content digest, so its high word is already
-  // a high-quality hash — no re-mixing needed. The chunk index is the hottest
-  // map in the store (every put/restore touches it once per chunk); hashed
-  // lookup replaces the old std::map's pointer-chasing tree descent. Every
-  // iteration over the index computes order-independent totals, so the
-  // unordered iteration order is unobservable.
+  // a high-quality hash — no re-mixing needed. Every iteration over the
+  // index computes order-independent totals, so the unordered iteration
+  // order is unobservable.
   struct ChunkKeyHash {
     size_t operator()(const ChunkKey& key) const noexcept {
       return static_cast<size_t>(key.hi);
     }
   };
+  using ChunkIndex = std::unordered_map<ChunkKey, ChunkEntry, ChunkKeyHash>;
+  template <typename V>
+  using StringMap =
+      std::unordered_map<std::string, V, TransparentStringHash, std::equal_to<>>;
+
+  // All Locked helpers require mutex_ held.
+  ManifestEntry* FindLocked(std::string_view key) const;
+  // Drops one reference; the chunk is reclaimed (and leaves the restore
+  // cache) when it was the last.
+  void UnrefChunkLocked(ChunkIndex::iterator it);
+  void UnrefChunkLocked(const ChunkKey& key);
+  void ReleaseManifestLocked(ManifestEntry& entry);
+  // Detaches a replaced or deleted manifest: a zombie while pinned,
+  // released otherwise.
+  void RetireLocked(std::shared_ptr<ManifestEntry> entry);
+  void UnpinLocked(const std::shared_ptr<ManifestEntry>& entry);
+  // Lazy-restore host cache: moves `entry` to the most-recent end, inserting
+  // it (and evicting from the least-recent end past the budget) if absent.
+  void TouchCacheLocked(ChunkEntry& entry);
+  void UnlinkCacheLocked(ChunkEntry& entry);
+  Result<ObjectBlob> ReadAllLocked(ManifestEntry& entry, const SnapshotManifest& parsed);
 
   mutable std::mutex mutex_;
   SnapshotStoreOptions options_;
   SimClock* clock_;
-  std::unordered_map<ChunkKey, ChunkEntry, ChunkKeyHash> chunks_;
-  std::map<std::string, std::shared_ptr<ManifestEntry>, std::less<>> manifests_;
+  ChunkIndex chunks_;
+  StringMap<std::shared_ptr<ManifestEntry>> manifests_;
   // Deleted-while-pinned manifests awaiting their last unpin.
   std::vector<std::shared_ptr<ManifestEntry>> zombies_;
-  // Host restore cache (lazy mode): LRU by chunk key, bounded by bytes.
-  std::list<ChunkKey> cache_lru_;
-  std::unordered_map<ChunkKey, std::pair<std::list<ChunkKey>::iterator, uint32_t>,
-                     ChunkKeyHash>
-      cache_;
+  // Host restore cache (lazy mode): an LRU list through ChunkEntry, head is
+  // most recent, bounded by bytes.
+  ChunkEntry* lru_head_ = nullptr;
+  ChunkEntry* lru_tail_ = nullptr;
+  uint64_t cache_chunks_ = 0;
   uint64_t cache_bytes_ = 0;
-  // Refcount-0 resident chunks (GC backlog); auto-collected past a bound.
-  uint64_t garbage_bytes_ = 0;
-  uint64_t garbage_chunks_ = 0;
   // Last snapshot put per key prefix, for adjacent-delta accounting.
-  std::map<std::string, std::string> last_put_by_prefix_;
+  StringMap<std::string> last_put_by_prefix_;
   StoreAccounting accounting_;
   ObsSink* obs_ = nullptr;
   ObsTrack obs_track_;

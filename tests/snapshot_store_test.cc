@@ -1,21 +1,29 @@
 // The dedup snapshot store battery: legacy-accounting parity with the flat
-// store, chunk refcount/GC invariants, lazy-vs-eager byte identity,
-// pin/zombie semantics, chunk-granular chaos (copy-on-write corruption,
-// manifest CRC), orchestrator-level recovery under chunk faults, and fleet
+// store, chunk refcounts with reclaim at the last reference, lazy-vs-eager
+// byte identity, pin/zombie semantics, chunk-granular chaos (copy-on-write
+// corruption, manifest CRC), the manifest decoder against malformed frames,
+// a multi-threaded stress run, orchestrator-level recovery under chunk
+// faults, and fleet
 // digest bit-identity with the store swapped flat <-> dedup under chaos at
 // several thread counts, pinned to absolute digests.
 
 #include "src/store/snapshot_store.h"
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/bytes.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/simulate.h"
@@ -155,7 +163,7 @@ TEST(SnapshotStoreTest, AdjacentSnapshotsOfOnePrefixCountDeltaSharing) {
 
 // --- Refcounts, GC, and churn ------------------------------------------
 
-TEST(SnapshotStoreTest, GcCollectsExactlyUnreferencedChunks) {
+TEST(SnapshotStoreTest, DeleteReclaimsExactlyUnreferencedChunks) {
   DedupSnapshotStore store(DedupOptions());
   auto shared = RandomBytes(4096, 1);
   auto a = shared;
@@ -165,32 +173,52 @@ TEST(SnapshotStoreTest, GcCollectsExactlyUnreferencedChunks) {
   ASSERT_TRUE(store.PutSnapshot("fn/b", Blob(shared)).ok());
   EXPECT_EQ(store.resident_chunks(), 6u);  // 4 shared + 2 unique to a.
 
+  // The delete itself reclaims a's two unique chunks: their last reference
+  // went with a's manifest. No collection pass is involved.
   ASSERT_TRUE(store.DeleteSnapshot("fn/a").ok());
-  // Deletion defers reclaim: a's unique chunks are garbage but resident.
-  EXPECT_EQ(store.resident_chunks(), 6u);
-  EXPECT_EQ(store.unreferenced_chunks(), 2u);
-  EXPECT_TRUE(store.CheckInvariants().ok());
-
-  EXPECT_EQ(store.CollectGarbage(), 2u);
   EXPECT_EQ(store.resident_chunks(), 4u);
-  EXPECT_EQ(store.unreferenced_chunks(), 0u);
+  PhysicalAccounting phys = store.accounting().physical;
+  EXPECT_EQ(phys.chunks_collected, 2u);
+  EXPECT_EQ(phys.bytes_collected, 2048u);
   EXPECT_TRUE(store.CheckInvariants().ok());
+  EXPECT_EQ(store.CollectGarbage(), 0u);
 
   // The surviving snapshot is untouched.
   auto read_b = ReadBack(store, "fn/b");
   ASSERT_TRUE(read_b.ok());
   EXPECT_EQ(read_b->bytes(), shared);
-  const PhysicalAccounting phys = store.accounting().physical;
+  phys = store.accounting().physical;
   EXPECT_EQ(phys.chunks_collected, 2u);
   EXPECT_EQ(phys.bytes_collected, 2048u);
 }
 
-TEST(SnapshotStoreTest, InvariantsHoldUnderRandomChurn) {
-  SnapshotStoreOptions options = DedupOptions();
-  options.chunker.cdc = true;
-  options.chunker.chunk_size = 512;
-  options.chunker.min_size = 128;
-  options.chunker.max_size = 2048;
+// A re-put of a key refs its new chunks before releasing the old manifest,
+// so identical content is a dedup hit, not a reclaim and a fresh store.
+TEST(SnapshotStoreTest, SameKeyIdenticalReputIsADedupHit) {
+  for (const size_t size : {size_t{700}, size_t{5000}}) {  // One chunk, five.
+    DedupSnapshotStore store(DedupOptions());
+    const auto payload = RandomBytes(size, 3);
+    auto first = store.PutSnapshot("fn/a", Blob(payload));
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->unique_bytes_added, size);
+    auto again = store.PutSnapshot("fn/a", Blob(payload));
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->unique_bytes_added, 0u) << size;
+    const PhysicalAccounting phys = store.accounting().physical;
+    EXPECT_EQ(phys.dedup_bytes_saved, size);
+    EXPECT_EQ(phys.chunks_collected, 0u);
+    EXPECT_EQ(phys.delta_bytes_shared, 0u);  // A re-put has no neighbor.
+    EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
+    auto read = ReadBack(store, "fn/a");
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->bytes(), payload);
+  }
+}
+
+// One churn loop over a store whose every mutation is audited. The lazy
+// build runs a restore cache smaller than the corpus, so eviction, reclaim
+// out of the cache and the working-set path all run.
+void ChurnWithInvariants(SnapshotStoreOptions options) {
   DedupSnapshotStore store(options);
   Rng rng(42);
   std::vector<std::string> keys;
@@ -217,14 +245,32 @@ TEST(SnapshotStoreTest, InvariantsHoldUnderRandomChurn) {
         ASSERT_TRUE(ReadBack(store, key).ok());
       }
     } else {
-      store.CollectGarbage();
+      const std::string& key = keys[rng.UniformUint64(keys.size())];
+      if (store.ContainsSnapshot(key)) {
+        ASSERT_TRUE(store.CorruptChunk(key, rng).ok());
+      }
     }
     ASSERT_TRUE(store.CheckInvariants().ok())
         << "op " << op << ": " << store.CheckInvariants().ToString();
   }
-  store.CollectGarbage();
-  EXPECT_EQ(store.unreferenced_chunks(), 0u);
+  for (const std::string& key : store.ListSnapshots("")) {
+    ASSERT_TRUE(store.DeleteSnapshot(key).ok());
+  }
+  EXPECT_EQ(store.resident_chunks(), 0u);
+  EXPECT_EQ(store.accounting().physical.bytes_stored, 0u);
   EXPECT_TRUE(store.CheckInvariants().ok());
+}
+
+TEST(SnapshotStoreTest, InvariantsHoldUnderRandomChurn) {
+  SnapshotStoreOptions options = DedupOptions();
+  options.chunker.cdc = true;
+  options.chunker.chunk_size = 512;
+  options.chunker.min_size = 128;
+  options.chunker.max_size = 2048;
+  ChurnWithInvariants(options);
+  options.lazy_restore = true;
+  options.chunk_cache_bytes = 16 << 10;
+  ChurnWithInvariants(options);
 }
 
 // --- Lazy restore -------------------------------------------------------
@@ -261,30 +307,109 @@ TEST(SnapshotStoreTest, LazyAndEagerRestoresAreByteIdentical) {
   EXPECT_TRUE(lazy.CheckInvariants().ok());
 }
 
+// The host cache is an LRU by bytes. Three 1 KiB chunks fit; the fourth
+// evicts the least recently touched, and a reclaimed chunk leaves it.
+TEST(SnapshotStoreTest, LazyCacheEvictsLeastRecentAndDropsReclaimedChunks) {
+  SnapshotStoreOptions options = DedupOptions();
+  options.lazy_restore = true;
+  options.chunk_cache_bytes = 3 * 1024;
+  DedupSnapshotStore store(options);
+  for (const char* key : {"fn/a", "fn/b", "fn/c", "fn/d"}) {
+    ASSERT_TRUE(store.PutSnapshot(key, Blob(RandomBytes(1024, static_cast<uint8_t>(key[3])))).ok());
+  }
+  const auto read = [&](const char* key) { ASSERT_TRUE(ReadBack(store, key).ok()); };
+  read("fn/a");  // Records; cache (most recent first): a.
+  read("fn/b");  // b a
+  read("fn/c");  // c b a
+  read("fn/a");  // Hit: a c b
+  read("fn/d");  // Records, evicts b: d a c
+  read("fn/b");  // Prefetches b, evicts c, then hits it: b d a
+  read("fn/c");  // Prefetches c, evicts a, then hits it: c b d
+  PhysicalAccounting phys = store.accounting().physical;
+  EXPECT_EQ(phys.chunks_fetched, 6u);
+  EXPECT_EQ(phys.chunks_prefetched, 2u);
+  EXPECT_EQ(phys.cache_hits, 3u);
+  EXPECT_EQ(phys.demand_faults, 0u);
+
+  ASSERT_TRUE(store.DeleteSnapshot("fn/d").ok());  // d leaves: c b
+  EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
+  read("fn/a");  // Prefetches a with room to spare: a c b
+  read("fn/b");  // Hit.
+  phys = store.accounting().physical;
+  EXPECT_EQ(phys.chunks_fetched, 7u);
+  EXPECT_EQ(phys.cache_hits, 5u);
+  EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
+}
+
 // --- Pins, readers, zombies --------------------------------------------
 
 TEST(SnapshotStoreTest, OpenReaderKeepsDeletedSnapshotReadable) {
   DedupSnapshotStore store(DedupOptions());
   const auto payload = RandomBytes(10000, 1);
   ASSERT_TRUE(store.PutSnapshot("fn/a", Blob(payload)).ok());
+  const uint64_t resident = store.resident_chunks();
 
   auto reader = store.OpenSnapshot("fn/a");
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(store.DeleteSnapshot("fn/a").ok());
   EXPECT_FALSE(store.ContainsSnapshot("fn/a"));
 
-  // The pinned manifest holds its chunks against GC.
-  store.CollectGarbage();
+  // The pinned manifest still holds every chunk.
+  EXPECT_EQ(store.resident_chunks(), resident);
   auto blob = (*reader)->ReadAll();
   ASSERT_TRUE(blob.ok());
   EXPECT_EQ(blob->bytes(), payload);
   EXPECT_TRUE(store.CheckInvariants().ok());
 
-  // Dropping the reader releases the zombie; GC can now reclaim.
+  // Closing the last reader releases the zombie and reclaims its chunks.
   reader->reset();
-  store.CollectGarbage();
   EXPECT_EQ(store.resident_chunks(), 0u);
+  EXPECT_EQ(store.accounting().physical.chunks_collected, resident);
   EXPECT_TRUE(store.CheckInvariants().ok());
+}
+
+// A blob handed out by ReadAll owns its bytes: the single-chunk zero-copy
+// path shares the stored buffer, and that share outlives the chunk.
+TEST(SnapshotStoreTest, ReturnedBlobOutlivesReclaimedSnapshot) {
+  for (const size_t size : {size_t{700}, size_t{5000}}) {  // One chunk, five.
+    DedupSnapshotStore store(DedupOptions());
+    const auto payload = RandomBytes(size, 5);
+    ASSERT_TRUE(store.PutSnapshot("fn/a", Blob(payload)).ok());
+    auto blob = ReadBack(store, "fn/a");
+    ASSERT_TRUE(blob.ok());
+    ASSERT_TRUE(store.DeleteSnapshot("fn/a").ok());
+    EXPECT_EQ(store.resident_chunks(), 0u);
+    EXPECT_EQ(blob->bytes(), payload) << size;
+    EXPECT_EQ(blob->logical_size, size);
+  }
+}
+
+// Chunk corruption is copy-on-write for readers too: one opened before the
+// corruption decoded the old chunk table and keeps reading the original.
+TEST(SnapshotStoreTest, ReaderOpenedBeforeCorruptChunkReadsOriginalBytes) {
+  for (const size_t size : {size_t{700}, size_t{5000}}) {  // One chunk, five.
+    DedupSnapshotStore store(DedupOptions());
+    const auto payload = RandomBytes(size, 6);
+    ASSERT_TRUE(store.PutSnapshot("fn/a", Blob(payload)).ok());
+    auto reader = store.OpenSnapshot("fn/a");
+    ASSERT_TRUE(reader.ok());
+    Rng rng(17);
+    ASSERT_TRUE(store.CorruptChunk("fn/a", rng).ok());
+    EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
+
+    auto original = (*reader)->ReadAll();
+    ASSERT_TRUE(original.ok());
+    EXPECT_EQ(original->bytes(), payload) << size;
+    auto corrupted = ReadBack(store, "fn/a");
+    ASSERT_TRUE(corrupted.ok());
+    EXPECT_NE(corrupted->bytes(), payload);
+
+    // The old chunk goes with the last reader that could read it.
+    const uint64_t resident = store.resident_chunks();
+    reader->reset();
+    EXPECT_EQ(store.resident_chunks(), resident - 1);
+    EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
+  }
 }
 
 TEST(SnapshotStoreTest, ExplicitPinsNestAndGateRelease) {
@@ -307,7 +432,6 @@ TEST(SnapshotStoreTest, ExplicitPinsNestAndGateRelease) {
   ASSERT_TRUE(store.Pin("fn/a").ok());
   ASSERT_TRUE(store.DeleteSnapshot("fn/a").ok());
   EXPECT_EQ(store.Unpin("fn/a").code(), StatusCode::kNotFound);
-  store.CollectGarbage();
   EXPECT_GT(store.resident_chunks(), 0u);
   EXPECT_TRUE(store.CheckInvariants().ok());
 }
@@ -347,9 +471,9 @@ TEST(SnapshotStoreTest, ManifestCorruptionFailsOpenWithDataLoss) {
   Rng rng(7);
   ASSERT_TRUE(store.CorruptManifest("fn/a", rng).ok());
   EXPECT_EQ(store.OpenSnapshot("fn/a").status().code(), StatusCode::kDataLoss);
-  // The store itself stays sound; the snapshot can be deleted and GC'd.
+  // The store itself stays sound; deleting the snapshot reclaims its chunks.
   ASSERT_TRUE(store.DeleteSnapshot("fn/a").ok());
-  store.CollectGarbage();
+  EXPECT_EQ(store.resident_chunks(), 0u);
   EXPECT_TRUE(store.CheckInvariants().ok());
 }
 
@@ -370,6 +494,237 @@ TEST(SnapshotStoreTest, FaultDecoratorInjectsChunkAndManifestFaults) {
   EXPECT_EQ(faulty2.stats().corrupted_manifests, 1u);
   EXPECT_EQ(faulty2.OpenSnapshot("fn/a").status().code(), StatusCode::kDataLoss);
   EXPECT_TRUE(inner2.CheckInvariants().ok());
+}
+
+// --- Manifest decoder ---------------------------------------------------
+
+SnapshotManifest SampleManifest() {
+  SnapshotManifest manifest;
+  manifest.logical_size = 1 << 20;
+  for (uint32_t i = 0; i < 5; ++i) {
+    manifest.chunks.push_back(ManifestChunk{ChunkKey{0x1111 * (i + 1), 0x2222 * i}, 1000 + i});
+    manifest.encoded_size += 1000 + i;
+  }
+  manifest.ws_recorded = true;
+  manifest.working_set = {0, 2, 4};
+  return manifest;
+}
+
+// Frames the encoder never writes, but with a valid CRC, so the structural
+// checks rather than the checksum must reject them.
+std::vector<uint8_t> RawFrame(uint64_t count, uint64_t encoded, uint64_t chunk_size,
+                              uint64_t ws_index, bool trailing) {
+  ByteWriter writer;
+  writer.WriteUint32(0x504d414e);
+  writer.WriteUint8(1);
+  writer.WriteVarint(4096);  // Logical size.
+  writer.WriteVarint(encoded);
+  writer.WriteVarint(count);
+  writer.WriteUint64(7);  // One chunk row, whatever `count` claims.
+  writer.WriteUint64(9);
+  writer.WriteVarint(chunk_size);
+  writer.WriteUint8(1);
+  writer.WriteVarint(1);
+  writer.WriteVarint(ws_index);
+  if (trailing) {
+    writer.WriteUint8(0);
+  }
+  const uint32_t crc = Crc32(writer.data());
+  writer.WriteUint32(crc);
+  return writer.TakeData();
+}
+
+TEST(SnapshotStoreTest, ManifestRoundTripsThroughItsCodec) {
+  const SnapshotManifest manifest = SampleManifest();
+  const std::vector<uint8_t> frame = EncodeSnapshotManifest(manifest);
+  SnapshotManifest decoded;
+  ASSERT_TRUE(DecodeSnapshotManifest(frame, decoded).ok());
+  EXPECT_EQ(decoded.logical_size, manifest.logical_size);
+  EXPECT_EQ(decoded.encoded_size, manifest.encoded_size);
+  ASSERT_EQ(decoded.chunks.size(), manifest.chunks.size());
+  for (size_t i = 0; i < manifest.chunks.size(); ++i) {
+    EXPECT_EQ(decoded.chunks[i].key, manifest.chunks[i].key);
+    EXPECT_EQ(decoded.chunks[i].size, manifest.chunks[i].size);
+  }
+  EXPECT_TRUE(decoded.ws_recorded);
+  EXPECT_EQ(decoded.working_set, manifest.working_set);
+  EXPECT_EQ(EncodeSnapshotManifest(decoded), frame);
+  // The well-formed raw frame is accepted, so the rejections below are
+  // each down to the one field they change.
+  EXPECT_TRUE(DecodeSnapshotManifest(RawFrame(1, 100, 100, 0, false), decoded).ok());
+}
+
+TEST(SnapshotStoreTest, ManifestDecodeRejectsEveryTruncation) {
+  const std::vector<uint8_t> frame = EncodeSnapshotManifest(SampleManifest());
+  for (size_t length = 0; length < frame.size(); ++length) {
+    // Cut frames, with the CRC recomputed over what is left so that the
+    // structure rather than the checksum is what fails.
+    std::vector<uint8_t> cut(frame.begin(), frame.begin() + static_cast<ptrdiff_t>(length));
+    SnapshotManifest out;
+    EXPECT_EQ(DecodeSnapshotManifest(cut, out).code(), StatusCode::kDataLoss) << length;
+    if (length < 4) {
+      continue;
+    }
+    cut.resize(length - 4);
+    const uint32_t crc = Crc32(cut);
+    ByteWriter trailer(std::move(cut));
+    trailer.WriteUint32(crc);
+    EXPECT_EQ(DecodeSnapshotManifest(trailer.data(), out).code(), StatusCode::kDataLoss)
+        << length;
+  }
+}
+
+TEST(SnapshotStoreTest, ManifestDecodeRejectsInconsistentFrames) {
+  SnapshotManifest out;
+  // A chunk count the frame cannot hold fails before anything is reserved.
+  for (const uint64_t count : {uint64_t{2}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    EXPECT_EQ(DecodeSnapshotManifest(RawFrame(count, 100, 100, 0, false), out).code(),
+              StatusCode::kDataLoss)
+        << count;
+  }
+  const uint64_t big = uint64_t{UINT32_MAX} + 1;
+  EXPECT_EQ(DecodeSnapshotManifest(RawFrame(1, big, big, 0, false), out).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeSnapshotManifest(RawFrame(1, 101, 100, 0, false), out).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeSnapshotManifest(RawFrame(1, 99, 100, 0, false), out).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeSnapshotManifest(RawFrame(1, 100, 100, 1, false), out).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeSnapshotManifest(RawFrame(1, 100, 100, 0, true), out).code(),
+            StatusCode::kDataLoss);
+  // Any single flipped bit fails the CRC.
+  const std::vector<uint8_t> frame = EncodeSnapshotManifest(SampleManifest());
+  for (size_t bit = 0; bit < frame.size() * 8; bit += 7) {
+    std::vector<uint8_t> flipped = frame;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_EQ(DecodeSnapshotManifest(flipped, out).code(), StatusCode::kDataLoss) << bit;
+  }
+}
+
+// --- Concurrency ---------------------------------------------------------
+
+// Four threads put, open, read, delete and corrupt overlapping keys of one
+// lazy store. Every read returns what some put wrote, bit-exact or (after
+// a chunk corruption) one bit off, and the books balance at the end.
+TEST(SnapshotStoreTest, ConcurrentOperationsOnOverlappingKeys) {
+  SnapshotStoreOptions options = DedupOptions();
+  options.chunker.cdc = true;
+  options.chunker.chunk_size = 512;
+  options.chunker.min_size = 128;
+  options.chunker.max_size = 2048;
+  options.lazy_restore = true;
+  options.chunk_cache_bytes = 32 << 10;
+  DedupSnapshotStore store(options);
+
+  // Payload p of every key: shared prefix plus a per-version tail, so
+  // versions dedup against each other. The first byte names the version.
+  constexpr size_t kVersions = 6;
+  std::vector<std::vector<uint8_t>> versions;
+  const auto base = RandomBytes(6000, 1);
+  for (size_t v = 0; v < kVersions; ++v) {
+    auto payload = base;
+    payload.resize(300 + v * 1100);  // One chunk up to several.
+    const auto tail = RandomBytes(400, 10 + v);
+    payload.insert(payload.end(), tail.begin(), tail.end());
+    payload[0] = static_cast<uint8_t>(v);
+    versions.push_back(std::move(payload));
+  }
+  const auto bit_distance = [](const std::vector<uint8_t>& a,
+                               const std::vector<uint8_t>& b) {
+    if (a.size() != b.size()) {
+      return size_t{1000};
+    }
+    size_t bits = 0;
+    for (size_t i = 0; i < a.size(); ++i) {
+      bits += static_cast<size_t>(__builtin_popcount(a[i] ^ b[i]));
+    }
+    return bits;
+  };
+
+  // Puts and corruptions of one key take its writer lock, so a key is
+  // corrupted at most once per put; opens, reads and deletes take no lock
+  // and race with them freely.
+  struct KeyState {
+    std::mutex writer;
+    bool corrupted = false;
+  };
+  constexpr uint64_t kKeys = 6;
+  std::array<KeyState, kKeys> key_states;
+  const auto key_name = [](uint64_t k) {
+    return "fn" + std::to_string(k % 2) + "/w" + std::to_string(k / 2);
+  };
+  const auto corrupt = [&](uint64_t k, Rng& rng) {
+    std::lock_guard<std::mutex> lock(key_states[k].writer);
+    if (!key_states[k].corrupted && store.CorruptChunk(key_name(k), rng).ok()) {
+      key_states[k].corrupted = true;
+    }
+  };
+
+  std::atomic<size_t> bad_reads{0};
+  std::atomic<size_t> reads{0};
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      for (int op = 0; op < 600; ++op) {
+        const uint64_t k = rng.UniformUint64(kKeys);
+        const std::string key = key_name(k);
+        const uint64_t draw = rng.UniformUint64(10);
+        if (draw < 4) {
+          const auto& payload = versions[rng.UniformUint64(kVersions)];
+          std::lock_guard<std::mutex> lock(key_states[k].writer);
+          if (store.PutSnapshot(key, Blob(payload)).ok()) {
+            key_states[k].corrupted = false;
+          }
+        } else if (draw < 8) {
+          auto reader = store.OpenSnapshot(key);
+          if (!reader.ok()) {
+            continue;  // Not there (never put, or deleted).
+          }
+          if (draw == 7) {
+            // Race a delete or a corruption against the open reader.
+            if (rng.Bernoulli(0.5)) {
+              (void)store.DeleteSnapshot(key);
+            } else {
+              corrupt(k, rng);
+            }
+          }
+          auto blob = (*reader)->ReadAll();
+          if (!blob.ok() || blob->bytes().empty()) {
+            bad_reads += 1;
+            continue;
+          }
+          reads += 1;
+          // Pick the version by size: the sizes are all distinct.
+          bool matched = false;
+          for (const auto& payload : versions) {
+            if (payload.size() == blob->bytes().size()) {
+              matched = bit_distance(payload, blob->bytes()) <= 1;
+            }
+          }
+          if (!matched) {
+            bad_reads += 1;
+          }
+        } else if (draw == 8) {
+          (void)store.DeleteSnapshot(key);
+        } else {
+          corrupt(k, rng);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
+  for (const std::string& key : store.ListSnapshots("")) {
+    ASSERT_TRUE(store.DeleteSnapshot(key).ok());
+  }
+  EXPECT_EQ(store.resident_chunks(), 0u);
+  EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
 }
 
 // --- Orchestrator recovery under chunk faults ---------------------------

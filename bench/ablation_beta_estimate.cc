@@ -13,7 +13,6 @@
 // them will regularly reach the predicted lifetime").
 
 #include "bench/exhibit_common.h"
-#include "src/platform/function_simulation.h"
 
 namespace pronghorn::bench {
 namespace {
@@ -43,21 +42,21 @@ void Row(const WorkloadProfile& profile, uint32_t assumed_beta, bool geometric) 
 
   SimOptions options;
   options.seed = 77;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, *eviction,
-                         options);
-  auto report = sim.RunClosedLoop(kRequests);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  DeploySingleWorker(env, profile, *policy, *eviction, options.seed);
+  if (const Status status = env.RunClosedLoop(kRequests); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
     std::exit(1);
   }
+  const SimulationReport report = env.TakeFlatReport();
   const char* relation = assumed_beta < kTrueMeanLifetime   ? "under-estimate"
                          : assumed_beta > kTrueMeanLifetime ? "over-estimate"
                                                             : "exact";
   std::printf("  beta=%-3u (%-14s)  median %9.0f us   checkpoints %4llu   "
               "restores %4llu\n",
-              assumed_beta, relation, report->MedianLatencyUs(),
-              static_cast<unsigned long long>(report->checkpoints),
-              static_cast<unsigned long long>(report->restores));
+              assumed_beta, relation, report.MedianLatencyUs(),
+              static_cast<unsigned long long>(report.checkpoints),
+              static_cast<unsigned long long>(report.restores));
 }
 
 }  // namespace

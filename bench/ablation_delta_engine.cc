@@ -5,7 +5,6 @@
 // function's first snapshot is a full image.
 
 #include "bench/exhibit_common.h"
-#include "src/platform/function_simulation.h"
 
 namespace pronghorn::bench {
 namespace {
@@ -21,23 +20,23 @@ void Row(const char* benchmark, EngineKind engine_kind) {
   SimOptions options;
   options.seed = 77;
   options.engine_kind = engine_kind;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(kRequests);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  DeploySingleWorker(env, profile, *policy, **eviction, options.seed);
+  if (const Status status = env.RunClosedLoop(kRequests); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
     std::exit(1);
   }
+  const SimulationReport report = env.TakeFlatReport();
   const double mb = 1048576.0;
   std::printf("  %-14s %-9s median %8.0f us   peak storage %6.0f MB   "
               "network %7.0f MB   downtime %6.1f s\n",
               benchmark, engine_kind == EngineKind::kDelta ? "delta" : "criu-like",
-              report->MedianLatencyUs(),
-              static_cast<double>(report->object_store.peak_logical_bytes) / mb,
-              static_cast<double>(report->object_store.network_bytes_uploaded +
-                                  report->object_store.network_bytes_downloaded) /
+              report.MedianLatencyUs(),
+              static_cast<double>(report.object_store.peak_logical_bytes) / mb,
+              static_cast<double>(report.object_store.network_bytes_uploaded +
+                                  report.object_store.network_bytes_downloaded) /
                   mb,
-              sim.engine().total_checkpoint_time().ToSeconds());
+              env.engine(0).total_checkpoint_time().ToSeconds());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 // provider-side occupancy.
 
 #include "bench/exhibit_common.h"
-#include "src/platform/function_simulation.h"
 #include "src/trace/trace_generator.h"
 
 namespace pronghorn::bench {
@@ -36,20 +35,14 @@ void Row(const WorkloadProfile& profile, PolicyKind kind, int64_t idle_timeout_s
   SimOptions options;
   options.seed = 42;
   options.lifecycle.idle_resource_hold = eviction.timeout();
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, eviction,
-                         options);
-  const std::vector<TimePoint> arrivals = SparseArrivals(9);
-  auto report = sim.RunTrace(arrivals);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    std::exit(1);
-  }
-  const double gb_minutes = report->worker_memory_time_mb_s / 1024.0 / 60.0;
+  const SimulationReport report =
+      RunSingleWorkerTrace(profile, *policy, eviction, options, SparseArrivals(9));
+  const double gb_minutes = report.worker_memory_time_mb_s / 1024.0 / 60.0;
   std::printf("  %-22s idle-timeout %5llds   median %8.0f us   lifetimes %4llu   "
               "memory-time %7.1f GB-min\n",
               PolicyKindName(kind), static_cast<long long>(idle_timeout_s),
-              report->MedianLatencyUs(),
-              static_cast<unsigned long long>(report->worker_lifetimes), gb_minutes);
+              report.MedianLatencyUs(),
+              static_cast<unsigned long long>(report.worker_lifetimes), gb_minutes);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
+#include "src/platform/sim_environment.h"
 #include "src/platform/simulate.h"
 
 namespace pronghorn::bench {
@@ -167,8 +168,7 @@ inline std::unique_ptr<OrchestrationPolicy> MakePolicy(PolicyKind kind,
 }
 
 // Runs one closed-loop experiment (the §5.1 measurement protocol) through
-// the unified Simulate() entry point in its single-function configuration
-// (one worker slot, sub-seed = seed — the historical FunctionSimulation).
+// Simulate(kSingle) with one worker slot and sub-seed = seed.
 inline SimulationReport RunClosedLoop(const WorkloadProfile& profile, PolicyKind kind,
                                       uint32_t eviction_k, uint64_t requests,
                                       uint64_t seed, bool input_noise = true) {
@@ -193,6 +193,45 @@ inline SimulationReport RunClosedLoop(const WorkloadProfile& profile, PolicyKind
     std::exit(1);
   }
   return std::move(report->per_function.front().report);
+}
+
+// Registers `profile` as the one-worker deployment of `env` (sub-seed =
+// `seed`), for exhibits that need more than Simulate() gives: an eviction
+// model FleetEvictionSpec cannot express, trace-driven arrivals, or the
+// deployment's engine afterwards. Exits on failure.
+inline void DeploySingleWorker(SimEnvironment& env, const WorkloadProfile& profile,
+                               const OrchestrationPolicy& policy,
+                               const EvictionModel& eviction, uint64_t seed) {
+  const Status status = env.AddDeployment(profile.name, profile, policy, eviction,
+                                          /*worker_slots=*/1,
+                                          /*exploring_slots=*/1, seed);
+  if (!status.ok()) {
+    std::fprintf(stderr, "deployment failed: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+// Replays `arrivals` against one worker of `profile` in a fresh environment
+// (a request arriving while the worker is busy queues behind it) and
+// retires the last worker at the end of the trace. Exits on failure.
+inline SimulationReport RunSingleWorkerTrace(const WorkloadProfile& profile,
+                                             const OrchestrationPolicy& policy,
+                                             const EvictionModel& eviction,
+                                             const SimOptions& options,
+                                             const std::vector<TimePoint>& arrivals) {
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  DeploySingleWorker(env, profile, policy, eviction, options.seed);
+  std::vector<SimEnvironment::Arrival> events;
+  events.reserve(arrivals.size());
+  for (const TimePoint arrival : arrivals) {
+    events.push_back(SimEnvironment::Arrival{0, arrival});
+  }
+  if (const Status status = env.RunArrivals(events); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+  env.RetireAllWorkers();
+  return env.TakeFlatReport();
 }
 
 // Prints a percentile row of a latency distribution in microseconds.

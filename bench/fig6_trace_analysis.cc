@@ -8,7 +8,6 @@
 // per scenario to populate the CDF.
 
 #include "bench/exhibit_common.h"
-#include "src/platform/function_simulation.h"
 #include "src/trace/trace_generator.h"
 
 namespace pronghorn::bench {
@@ -64,14 +63,9 @@ void RunScenario(const char* benchmark, double percentile) {
     AnyOfEviction eviction({&idle, &lifetime});
     SimOptions options;
     options.seed = 7;
-    FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, eviction,
-                           options);
-    auto report = sim.RunTrace(arrivals);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-      std::exit(1);
-    }
-    const DistributionSummary summary = report->LatencySummary();
+    const DistributionSummary summary =
+        RunSingleWorkerTrace(profile, *policy, eviction, options, arrivals)
+            .LatencySummary();
     PrintPercentileRow(PolicyKindName(kind), summary);
     if (kind == PolicyKind::kAfterFirst) {
       after_first_median = summary.Median();

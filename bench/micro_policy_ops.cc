@@ -12,7 +12,6 @@
 #include "src/checkpoint/criu_like_engine.h"
 #include "src/common/mathutil.h"
 #include "src/core/policy_state_store.h"
-#include "src/platform/function_simulation.h"
 #include "src/store/kv_database.h"
 
 namespace pronghorn::bench {
@@ -261,10 +260,12 @@ void BM_SimulatedRequestEndToEnd(benchmark::State& bench_state) {
   auto eviction = EveryKRequestsEviction::Create(20);
   SimOptions options;
   options.seed = 9;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  DeploySingleWorker(env, profile, *policy, **eviction, options.seed);
   for (auto _ : bench_state) {
-    auto report = sim.RunClosedLoop(1);
+    const Status status = env.RunClosedLoop(1);
+    SimulationReport report = env.TakeFlatReport();
+    benchmark::DoNotOptimize(status);
     benchmark::DoNotOptimize(report);
   }
 }

@@ -7,11 +7,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/simulate.h"
 
 using namespace pronghorn;
 
@@ -98,22 +99,27 @@ class FixedPointPolicy : public OrchestrationPolicy {
 
 double RunAndReportMedian(const WorkloadProfile& profile,
                           const OrchestrationPolicy& policy, const char* label) {
-  auto eviction = EveryKRequestsEviction::Create(1);
-  if (!eviction.ok()) {
-    std::exit(1);
-  }
+  // One worker, evicted after every request.
   SimOptions options;
   options.seed = 404;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(500);
+  options.worker_slots = 1;
+  options.exploring_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 1;
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &policy;
+  spec.requests = 500;
+  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                         std::span<const SimFunctionSpec>(&spec, 1), options);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     std::exit(1);
   }
-  const double median = report->MedianLatencyUs();
+  const double median = report->flat().MedianLatencyUs();
   std::printf("  %-24s median %9.0f us   (%llu checkpoints)\n", label, median,
-              static_cast<unsigned long long>(report->checkpoints));
+              static_cast<unsigned long long>(report->flat().checkpoints));
   return median;
 }
 

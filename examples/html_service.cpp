@@ -9,7 +9,7 @@
 
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/sim_environment.h"
 
 using namespace pronghorn;
 
@@ -53,34 +53,42 @@ int main() {
     return 1;
   }
 
+  // A SimEnvironment rather than a one-shot Simulate(): after the run we
+  // read the learned state back out of the deployment's Database.
   SimOptions options;
   options.seed = 7;
-  FunctionSimulation sim(**profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
-
-  std::printf("Dynamic HTML rendering service: 600 requests, a fresh worker for\n"
-              "every request (eviction rate 1), request-centric orchestration.\n\n");
-  auto report = sim.RunClosedLoop(600);
-  if (!report.ok()) {
-    std::fprintf(stderr, "simulation failed: %s\n", report.status().ToString().c_str());
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  if (Status s = env.AddDeployment((*profile)->name, **profile, *policy, **eviction,
+                                   /*worker_slots=*/1, /*exploring_slots=*/1,
+                                   options.seed);
+      !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
 
+  std::printf("Dynamic HTML rendering service: 600 requests, a fresh worker for\n"
+              "every request (eviction rate 1), request-centric orchestration.\n\n");
+  if (Status s = env.RunClosedLoop(600); !s.ok()) {
+    std::fprintf(stderr, "simulation failed: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  const SimulationReport report = env.TakeFlatReport();
+
   std::printf("phase-by-phase behavior:\n");
-  PrintPhase("requests   1-100 (explore)", *report, 0, 100);
-  PrintPhase("requests 101-200", *report, 100, 200);
-  PrintPhase("requests 201-300", *report, 200, 300);
-  PrintPhase("requests 301-600 (exploit)", *report, 300, 600);
+  PrintPhase("requests   1-100 (explore)", report, 0, 100);
+  PrintPhase("requests 101-200", report, 100, 200);
+  PrintPhase("requests 201-300", report, 200, 300);
+  PrintPhase("requests 301-600 (exploit)", report, 300, 600);
 
   std::printf("\nplatform activity: %llu worker lifetimes, %llu cold starts, "
               "%llu restores, %llu checkpoints\n",
-              static_cast<unsigned long long>(report->worker_lifetimes),
-              static_cast<unsigned long long>(report->cold_starts),
-              static_cast<unsigned long long>(report->restores),
-              static_cast<unsigned long long>(report->checkpoints));
+              static_cast<unsigned long long>(report.worker_lifetimes),
+              static_cast<unsigned long long>(report.cold_starts),
+              static_cast<unsigned long long>(report.restores),
+              static_cast<unsigned long long>(report.checkpoints));
 
   // Peek at the learned state in the Database.
-  auto state = sim.LoadPolicyState();
+  auto state = env.LoadPolicyState(0);
   if (!state.ok()) {
     std::fprintf(stderr, "%s\n", state.status().ToString().c_str());
     return 1;
@@ -101,7 +109,7 @@ int main() {
                 entry.object_key.c_str());
   }
 
-  const auto convergence = ConvergenceRequest(report->records, 20, 0.02);
+  const auto convergence = ConvergenceRequest(report.records, 20, 0.02);
   if (convergence.has_value()) {
     std::printf("\nconverged (window-20 median within 2%% of final) at request %llu\n",
                 static_cast<unsigned long long>(*convergence));

@@ -7,36 +7,40 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/simulate.h"
 
 using namespace pronghorn;
 
 namespace {
 
+// One closed-loop run: a single worker, evicted every `eviction_k` requests.
 SimulationReport RunPolicy(const WorkloadProfile& profile,
                            const OrchestrationPolicy& policy, uint64_t eviction_k,
                            uint64_t requests, uint64_t seed) {
-  auto eviction = EveryKRequestsEviction::Create(eviction_k);
-  if (!eviction.ok()) {
-    std::fprintf(stderr, "bad eviction interval: %s\n",
-                 eviction.status().ToString().c_str());
-    std::exit(1);
-  }
   SimOptions options;
   options.seed = seed;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(requests);
+  options.worker_slots = 1;
+  options.exploring_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = eviction_k;
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &policy;
+  spec.requests = requests;
+  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                         std::span<const SimFunctionSpec>(&spec, 1), options);
   if (!report.ok()) {
     std::fprintf(stderr, "simulation failed: %s\n", report.status().ToString().c_str());
     std::exit(1);
   }
-  return *std::move(report);
+  return std::move(report->per_function.front().report);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
-#include "src/platform/platform_simulation.h"
+#include "src/platform/sim_environment.h"
 #include "src/trace/trace_generator.h"
 
 using namespace pronghorn;
@@ -72,24 +72,36 @@ int main(int argc, char** argv) {
     AnyOfEviction eviction({&idle, &lifetime});
     SimOptions options;
     options.seed = 31;
-    PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+    // One shared control plane; each function gets one worker slot and RNG
+    // substreams keyed by (seed, function name).
+    SimEnvironment platform(WorkloadRegistry::Default(), options);
     for (const std::string& function : loaded->Functions()) {
       auto profile = WorkloadRegistry::Default().Find(function);
       if (!profile.ok()) {
         return Fail(profile.status());
       }
-      if (Status s = platform.DeployFunction(**profile, *policy); !s.ok()) {
+      if (Status s = platform.AddDeployment(
+              function, **profile, *policy, eviction, /*worker_slots=*/1,
+              /*exploring_slots=*/1,
+              SimEnvironment::DeploymentSeed(options.seed, function));
+          !s.ok()) {
         return Fail(s);
       }
     }
 
-    auto report = platform.Replay(*loaded);
-    if (!report.ok()) {
-      return Fail(report.status());
+    if (Status s = platform.RunArrivals(*loaded); !s.ok()) {
+      return Fail(s);
     }
+    const EnvironmentReport report = platform.TakeReport();
 
     std::printf("\npolicy: %s\n", std::string(policy->name()).c_str());
-    for (const auto& [function, function_report] : report->per_function) {
+    DistributionSummary global_latency;
+    uint64_t checkpoints = 0;
+    for (const auto& [function, function_report] : report.per_function) {
+      for (const RequestRecord& record : function_report.records) {
+        global_latency.Add(static_cast<double>(record.latency.ToMicros()));
+      }
+      checkpoints += function_report.checkpoints;
       const DistributionSummary summary = function_report.LatencySummary();
       std::printf("  %-14s %4zu reqs   median %9.0f us   p90 %9.0f us   "
                   "(%llu lifetimes, %llu checkpoints)\n",
@@ -100,9 +112,9 @@ int main(int argc, char** argv) {
     }
     std::printf("  platform: global median %9.0f us, %llu checkpoints, "
                 "%.0f MB peak snapshot storage\n",
-                report->GlobalLatencySummary().Median(),
-                static_cast<unsigned long long>(report->TotalCheckpoints()),
-                static_cast<double>(report->object_store.peak_logical_bytes) /
+                global_latency.Median(),
+                static_cast<unsigned long long>(checkpoints),
+                static_cast<double>(report.object_store.peak_logical_bytes) /
                     1048576.0);
   }
   return 0;

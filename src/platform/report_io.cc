@@ -227,16 +227,16 @@ uint32_t ReportDigest(std::span<const NamedReportRef> per_function,
   return Crc32(writer.data());
 }
 
-void SerializeClusterReport(const ClusterReport& report, ByteWriter& writer) {
+void SerializeFlatReport(const SimulationReport& report, ByteWriter& writer) {
   SerializeFunctionReport(report, writer);
   SerializeStoreAccounting(report.object_store, writer);
   SerializeKvAccounting(report.database, writer);
 }
 
-uint32_t ClusterReportCrc32(const ClusterReport& report) {
+uint32_t FlatReportCrc32(const SimulationReport& report) {
   ByteWriter writer;
   writer.Reserve(report.records.size() * 12);
-  SerializeClusterReport(report, writer);
+  SerializeFlatReport(report, writer);
   return Crc32(writer.data());
 }
 
@@ -469,8 +469,8 @@ Result<SimulationReport> DeserializeFunctionReport(ByteReader& reader) {
   return out;
 }
 
-Result<ClusterReport> DeserializeClusterReport(ByteReader& reader) {
-  PRONGHORN_ASSIGN_OR_RETURN(ClusterReport out, DeserializeFunctionReport(reader));
+Result<SimulationReport> DeserializeFlatReport(ByteReader& reader) {
+  PRONGHORN_ASSIGN_OR_RETURN(SimulationReport out, DeserializeFunctionReport(reader));
   PRONGHORN_RETURN_IF_ERROR(DeserializeStoreAccounting(reader, out.object_store));
   PRONGHORN_RETURN_IF_ERROR(DeserializeKvAccounting(reader, out.database));
   return out;
@@ -494,12 +494,12 @@ uint64_t StableNameHash(std::string_view name) {
 StreamingAccumulator::StreamingAccumulator(RetentionOptions retention)
     : retention_(retention) {}
 
-void StreamingAccumulator::Fold(std::string name, ClusterReport report) {
+void StreamingAccumulator::Fold(std::string name, SimulationReport report) {
   std::lock_guard<std::mutex> lock(mutex_);
   FoldLocked(std::move(name), std::move(report));
 }
 
-void StreamingAccumulator::FoldLocked(std::string name, ClusterReport report) {
+void StreamingAccumulator::FoldLocked(std::string name, SimulationReport report) {
   // Digest row first: the CRC covers exactly the bytes ReportDigest would
   // hash for this function (length-prefixed name + canonical report bytes).
   ByteWriter writer;
@@ -645,7 +645,7 @@ void StreamingAccumulator::SerializeState(ByteWriter& writer) const {
     writer.WriteString(name);
     ByteWriter body;
     body.Reserve(report.records.size() * 12 + 128);
-    SerializeClusterReport(report, body);
+    SerializeFlatReport(report, body);
     writer.WriteBytes(body.data());
   }
 }
@@ -685,8 +685,8 @@ Status StreamingAccumulator::RestoreState(ByteReader& reader) {
     PRONGHORN_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
     PRONGHORN_ASSIGN_OR_RETURN(std::vector<uint8_t> body, reader.ReadBytes());
     ByteReader body_reader(body);
-    PRONGHORN_ASSIGN_OR_RETURN(ClusterReport report,
-                               DeserializeClusterReport(body_reader));
+    PRONGHORN_ASSIGN_OR_RETURN(SimulationReport report,
+                               DeserializeFlatReport(body_reader));
     if (!body_reader.AtEnd()) {
       return DataLossError("trailing bytes after retained report '" + name + "'");
     }

@@ -17,7 +17,6 @@
 
 #include "src/common/bytes.h"
 #include "src/obs/metrics.h"
-#include "src/platform/cluster_simulation.h"
 #include "src/platform/metrics.h"
 #include "src/platform/sim_options.h"
 
@@ -74,20 +73,20 @@ struct NamedReportRef {
 
 // CRC32 over the canonical multi-deployment serialization: every per-function
 // report (name + SerializeFunctionReport) in the order given — callers pass
-// name-sorted rows — followed by the shared core. PlatformReport::Digest(),
-// FleetReport::Digest(), and SimReport::Digest() are all this function, which
-// is what makes their digests directly comparable.
+// name-sorted rows — followed by the shared core. SimReport::Digest() and the
+// StreamingAccumulator both compute exactly this, which is what makes every
+// topology's digests directly comparable.
 uint32_t ReportDigest(std::span<const NamedReportRef> per_function,
                       const ReportCore& core);
 
-// Full flattened serialization of a single-environment report (a cluster or
-// function run): SerializeFunctionReport plus the store accountings folded
+// Full flattened serialization of a single-environment report (a kSingle run,
+// or one fleet shard): SerializeFunctionReport plus the store accountings folded
 // into the flat report. What the fleet determinism guarantee (and its test)
 // hashes per function.
-void SerializeClusterReport(const ClusterReport& report, ByteWriter& writer);
+void SerializeFlatReport(const SimulationReport& report, ByteWriter& writer);
 
-// CRC32 over SerializeClusterReport's bytes.
-uint32_t ClusterReportCrc32(const ClusterReport& report);
+// CRC32 over SerializeFlatReport's bytes.
+uint32_t FlatReportCrc32(const SimulationReport& report);
 
 // Exact inverses of the canonical serializers above, used by the simulation
 // checkpoint (src/platform/sim_checkpoint.h) to restore folded reports after
@@ -99,7 +98,7 @@ Status DeserializeKvAccounting(ByteReader& reader, KvAccounting& out);
 Status DeserializeFaultRecoveryStats(ByteReader& reader, FaultRecoveryStats& out);
 Status DeserializeReportCore(ByteReader& reader, ReportCore& out);
 Result<SimulationReport> DeserializeFunctionReport(ByteReader& reader);
-Result<ClusterReport> DeserializeClusterReport(ByteReader& reader);
+Result<SimulationReport> DeserializeFlatReport(ByteReader& reader);
 
 // Streaming, memory-bounded fold of per-function reports — the fleet-scale
 // replacement for collect-then-merge. Shards call Fold() the moment their
@@ -116,7 +115,7 @@ Result<ClusterReport> DeserializeClusterReport(ByteReader& reader);
 // function, and Crc32Combine stitches the rows (sorted by name) and the
 // merged core back into the one-shot CRC without the bytes ever coexisting
 // in memory. Keep-all mode additionally retains every report body, making
-// the assembled FleetReport bit-identical to the historical path.
+// the assembled fleet report bit-identical to a collect-then-merge run.
 //
 // Both bounded modes pick the retained subset as a pure function of the
 // folded SET (never of fold order), so retained output is bit-stable across
@@ -144,7 +143,7 @@ class StreamingAccumulator {
     LatencyHistogram latency_hist;
     // Retained report bodies in canonical (name) order; every folded
     // function under kAll, at most `k` under the bounded modes.
-    std::map<std::string, ClusterReport> retained;
+    std::map<std::string, SimulationReport> retained;
     // The canonical digest over all folded functions (see class comment).
     uint32_t digest = 0;
   };
@@ -152,7 +151,7 @@ class StreamingAccumulator {
   explicit StreamingAccumulator(RetentionOptions retention = RetentionOptions{});
 
   // Folds one finished deployment. Thread-safe; names must be unique.
-  void Fold(std::string name, ClusterReport report);
+  void Fold(std::string name, SimulationReport report);
 
   // True when `name` was already folded (the resume skip set).
   bool Contains(std::string_view name) const;
@@ -175,7 +174,7 @@ class StreamingAccumulator {
   Status RestoreState(ByteReader& reader);
 
  private:
-  void FoldLocked(std::string name, ClusterReport report);
+  void FoldLocked(std::string name, SimulationReport report);
   // Applies the retention bound after an insert (evicts the worst-ranked
   // retained entry when over budget).
   void EnforceRetentionLocked();
@@ -192,7 +191,7 @@ class StreamingAccumulator {
   LatencyHistogram latency_hist_;
   std::vector<DigestRow> rows_;
   std::set<std::string, std::less<>> folded_names_;
-  std::map<std::string, ClusterReport> retained_;
+  std::map<std::string, SimulationReport> retained_;
   // Eviction ranks for the bounded modes: kTopLatency evicts the smallest
   // (median latency, name); kReservoir evicts the largest (hash, name).
   std::set<std::pair<double, std::string>> latency_rank_;

@@ -254,10 +254,11 @@ Status SimEnvironment::RunClosedLoop(uint64_t request_count) {
     }
     PRONGHORN_RETURN_IF_ERROR(Dispatch(*best_deployment, *best, best->dispatch_at()));
     // Closed-loop eviction sees the completion itself as the next arrival;
-    // the run's final worker is retired by RetireAllWorkers instead.
+    // the run's final workers are retired below instead.
     best->MaybeEvict(i + 1 < request_count, best->last_completion(),
                      best_deployment->report);
   }
+  RetireAllWorkers();
   return OkStatus();
 }
 
@@ -306,55 +307,19 @@ Status SimEnvironment::RunArrivals(std::span<const Arrival> arrivals) {
   return OkStatus();
 }
 
-Status SimEnvironment::RunArrivalStream(ArrivalSource& source) {
-  // The slot whose idle-eviction decision is still waiting on its
-  // deployment's next arrival (one per deployment, O(deployments) state).
-  std::vector<SimCore*> pending_evict(deployments_.size(), nullptr);
-  bool first = true;
-  TimePoint prev;
-  while (true) {
-    std::optional<Arrival> next = source.Next();
-    if (!next.has_value()) {
-      break;
+Status SimEnvironment::RunArrivals(const InvocationTrace& trace) {
+  const std::vector<TraceRecord>& records = trace.records();
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(records.size());
+  for (const TraceRecord& record : records) {
+    const Result<size_t> index = DeploymentIndex(record.function);
+    if (!index.ok()) {
+      return NotFoundError("trace invokes undeployed function '" + record.function +
+                           "'");
     }
-    const Arrival arrival = *next;
-    if (arrival.deployment >= deployments_.size()) {
-      return InvalidArgumentError("arrival references an unknown deployment");
-    }
-    Deployment& deployment = deployments_[arrival.deployment];
-    if (deployment.slots.empty()) {
-      return FailedPreconditionError("deployment '" + deployment.name +
-                                     "' has no worker slots");
-    }
-    if (!first && arrival.arrival < prev) {
-      return InvalidArgumentError("trace arrivals must be non-decreasing");
-    }
-    first = false;
-    prev = arrival.arrival;
-    // The deployment's successor arrival is now known: resolve the deferred
-    // eviction check exactly as RunArrivals' lookahead would have.
-    if (SimCore* held = pending_evict[arrival.deployment]; held != nullptr) {
-      held->MaybeEvict(/*has_next=*/true, arrival.arrival, deployment.report);
-    }
-    // Least-loaded slot within the deployment (same tie-break as
-    // RunArrivals); with every slot busy the request queues behind the
-    // earliest-free one.
-    SimCore* slot = &deployment.slots[0];
-    for (SimCore& candidate : deployment.slots) {
-      if (candidate.free_at() < slot->free_at()) {
-        slot = &candidate;
-      }
-    }
-    PRONGHORN_RETURN_IF_ERROR(Dispatch(deployment, *slot, arrival.arrival));
-    pending_evict[arrival.deployment] = slot;
+    arrivals.push_back(Arrival{*index, record.arrival});
   }
-  for (size_t d = 0; d < deployments_.size(); ++d) {
-    if (pending_evict[d] != nullptr) {
-      pending_evict[d]->MaybeEvict(/*has_next=*/false, TimePoint{},
-                                   deployments_[d].report);
-    }
-  }
-  return OkStatus();
+  return RunArrivals(arrivals);
 }
 
 void SimEnvironment::RetireAllWorkers() {

@@ -1,18 +1,24 @@
-// The shared simulation environment behind every driver: one control plane.
+// The simulation kernel's incremental surface: one control plane.
 //
 // A SimEnvironment owns the global stores (Database + snapshot store), the
 // optional fault decorators around them (one per store), the simulated
 // clock, and any number of function deployments. Each deployment owns its
 // checkpoint engine, policy-state scope, input model, client RNG, and a row
 // of SimCore worker slots (the first `exploring_slots` run the exploring
-// policy, the rest a frozen exploit-only wrapper). The four public drivers are thin
-// configurations of this class:
+// policy, the rest a frozen exploit-only wrapper).
 //
-//   FunctionSimulation  — one deployment, one slot
-//   ClusterSimulation   — one deployment, many slots
-//   PlatformSimulation  — many deployments, shared stores, one slot each
-//   FleetSimulation     — one single-deployment environment per shard,
-//                         merged canonically across a thread pool
+// Simulate() (simulate.h) runs one-shot experiments as configurations of
+// this class. Drive a SimEnvironment directly when a run needs more:
+// learned state that persists across runs, trace replay, or access to a
+// live deployment's engine, stores and policy state. The configurations
+// Simulate() uses:
+//
+//   kSingle    — one deployment, options.worker_slots slots,
+//                sub_seed = options.seed
+//   kPlatform  — many deployments, shared stores, one slot each,
+//                sub_seed = DeploymentSeed(options.seed, name)
+//   kFleet     — one single-deployment environment per shard, merged
+//                canonically across a thread pool
 //
 // Determinism contract: every RNG substream keys off the deployment's
 // sub-seed (engine = HashCombine(sub_seed, 0xe1), client = 0xc1, slot 0's
@@ -47,6 +53,7 @@
 #include "src/store/kv_database.h"
 #include "src/store/object_store.h"
 #include "src/store/snapshot_store.h"
+#include "src/trace/trace_file.h"
 #include "src/workloads/input_model.h"
 #include "src/workloads/workload_profile.h"
 
@@ -69,34 +76,6 @@ class SimEnvironment {
     TimePoint arrival;
   };
 
-  // Pull-based arrival feed for RunArrivalStream: yields arrivals in
-  // non-decreasing time order, nullopt at end-of-stream. Implementations
-  // (e.g. an adapter over trace/FleetArrivalStream) hold O(1)–O(functions)
-  // state, never the materialized invocation list.
-  class ArrivalSource {
-   public:
-    virtual ~ArrivalSource() = default;
-    virtual std::optional<Arrival> Next() = 0;
-  };
-
-  // Adapter replaying a materialized arrival list as a stream (tests and
-  // callers that already hold a trace).
-  class SpanArrivalSource final : public ArrivalSource {
-   public:
-    explicit SpanArrivalSource(std::span<const Arrival> arrivals)
-        : arrivals_(arrivals) {}
-    std::optional<Arrival> Next() override {
-      if (next_ >= arrivals_.size()) {
-        return std::nullopt;
-      }
-      return arrivals_[next_++];
-    }
-
-   private:
-    std::span<const Arrival> arrivals_;
-    size_t next_ = 0;
-  };
-
   SimEnvironment(const WorkloadRegistry& registry, SimOptions options);
   ~SimEnvironment();
 
@@ -112,8 +91,8 @@ class SimEnvironment {
   // `exploring_slots` (clamped to worker_slots) run `policy` and the rest a
   // frozen exploit-only wrapper over it. `profile`, `policy`, and `eviction`
   // are borrowed and must outlive the environment. `sub_seed` scopes every
-  // RNG substream of the deployment; single-deployment drivers pass their
-  // experiment seed, multi-deployment drivers pass DeploymentSeed(seed, name).
+  // RNG substream of the deployment; single-deployment runs pass their
+  // experiment seed, multi-deployment runs pass DeploymentSeed(seed, name).
   // In service mode the slots bind under `service_name` (empty: `name`):
   // environments sharing one service must bind under distinct names even
   // when their deployments share a name.
@@ -126,37 +105,29 @@ class SimEnvironment {
   // Closed loop with one outstanding request per slot: each request goes to
   // the slot (across all deployments) that frees earliest, and is issued the
   // moment that slot's previous response reached its client. `request_count`
-  // is the environment-wide total.
+  // is the environment-wide total. The run ends by retiring every
+  // still-warm worker, so the next run starts from fresh workers over the
+  // same learned state.
   Status RunClosedLoop(uint64_t request_count);
 
   // Trace-driven: serves `arrivals` in order (must be non-decreasing), each
   // on the least-loaded slot of its deployment; a request arriving while
-  // every slot is busy queues behind the earliest-free one.
+  // every slot is busy queues behind the earliest-free one. Workers still
+  // warm at the end stay warm, so a later call continues the same sessions;
+  // call RetireAllWorkers() to end them.
   Status RunArrivals(std::span<const Arrival> arrivals);
-
-  // Trace-driven from a pull source, for replays whose invocation list is
-  // too large to materialize (fleet-scale streaming traces). Dispatch order
-  // and slot choice match RunArrivals exactly; the one divergence is idle
-  // eviction, which RunArrivals resolves via a whole-trace lookahead and a
-  // stream cannot — here a deployment's eviction check is deferred until its
-  // successor arrival is pulled (or end-of-stream). The deferral reorders a
-  // slot's store deletes relative to OTHER deployments' traffic, so replays
-  // are bit-equivalent to RunArrivals for single-deployment environments and
-  // for runs whose eviction model never fires mid-trace; multi-deployment
-  // runs with mid-trace eviction may differ in store-accounting peaks and
-  // fault-RNG draw order while serving the identical request sequence.
-  Status RunArrivalStream(ArrivalSource& source);
+  // The same over an invocation trace, resolving each record's function
+  // name to the deployment registered under it; kNotFound when the trace
+  // invokes an unregistered function.
+  Status RunArrivals(const InvocationTrace& trace);
 
   // Retires every still-warm worker at the current simulated time, folding
-  // occupancy accounting into the per-deployment reports. Closed-loop drivers
-  // call this at the end of a run; trace replays that keep sessions warm
-  // across calls (PlatformSimulation::Replay) do not.
+  // occupancy accounting into the per-deployment reports.
   void RetireAllWorkers();
 
   // Harvests results accumulated since the previous Take*. Records and
   // lifecycle counters are per-epoch; store accounting, overheads, faults,
-  // and end_time are cumulative snapshots of the environment (matching the
-  // drivers' historical semantics for repeated runs).
+  // and end_time are cumulative snapshots of the environment.
   EnvironmentReport TakeReport();
   // Single-deployment flattening: the per-function report with the
   // environment-wide store accounting and decorator fault stats folded in.

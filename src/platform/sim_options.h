@@ -1,10 +1,12 @@
-// SimOptions: the one options surface shared by every simulation driver.
+// SimOptions: the one options surface of the simulation kernel.
 //
-// Before this header the four drivers and the shared environment each carried
-// a near-duplicate options struct whose fields drifted independently; they
-// now share this one composite. Drivers read the fields they understand and
-// ignore the rest (FunctionSimulation and PlatformSimulation always run one
-// slot per deployment; only FleetSimulation reads `threads` and `eviction`).
+// Simulate() (simulate.h) and SimEnvironment (sim_environment.h) both take
+// this composite and read the fields they understand. A SimEnvironment takes
+// its slot counts and eviction model per AddDeployment call, so it ignores
+// `worker_slots`, `exploring_slots`, `eviction`, `threads`, `pin_threads`,
+// `retention` and `sim_checkpoint`; Simulate() reads all of them (kPlatform
+// runs one slot per deployment, and only kFleet reads `threads`,
+// `pin_threads` and `retention`).
 //
 // The composite groups the knobs the way the kernel consumes them:
 //   - experiment identity:   seed, engine_kind, input_noise
@@ -60,12 +62,13 @@ struct LifecycleOptions {
   Duration idle_resource_hold = Duration::Zero();
 };
 
-// How each fleet deployment's eviction model is instantiated. Models with
-// hidden RNG state (geometric) must be per-function — sharing one across
-// shards would both race and couple the shards' draw sequences — so the fleet
-// holds a spec and instantiates one model per deployment from its function
-// seed. Only FleetSimulation consumes this; the other drivers take a borrowed
-// EvictionModel directly.
+// How Simulate() instantiates eviction models. kSingle and kPlatform build
+// one model from options.seed; kFleet builds one per shard from the shard's
+// function seed, because a model with hidden RNG state (geometric) shared
+// across shards would both race and couple their draw sequences. Callers
+// whose eviction model does not fit this spec (composites such as AnyOf,
+// max-lifetime, a geometric model with its own seed) drive a SimEnvironment,
+// which borrows an EvictionModel per deployment.
 struct FleetEvictionSpec {
   enum class Kind {
     kEveryK = 0,
@@ -151,21 +154,21 @@ struct ServiceModeOptions {
   // shed, so this too is digest-neutral in sim mode.
   uint32_t shed_deadline_ms = 0;
   // Borrowed shared service; when null each environment owns a private one.
-  // The fleet driver sets this so all shards talk to a single service.
+  // A kFleet run sets this so all shards talk to a single service.
   OrchestratorService* instance = nullptr;
 };
 
 struct SimOptions {
-  // Deterministic experiment seed; multi-deployment drivers derive
+  // Deterministic experiment seed; multi-deployment runs derive
   // per-deployment sub-seeds from it via SimEnvironment::DeploymentSeed.
   uint64_t seed = 1;
   EngineKind engine_kind = EngineKind::kCriuLike;
   // Client-side input-size perturbation (§5.1), on by default.
   bool input_noise = true;
 
-  // Topology. Single-slot drivers (function, platform) ignore the slot
-  // counts; only the fleet driver reads `threads` (0 = one per hardware
-  // thread) and `eviction`.
+  // Topology, read by Simulate(). kPlatform ignores the slot counts (one
+  // slot per deployment); only kFleet reads `threads` (0 = one per hardware
+  // thread).
   uint32_t worker_slots = 4;
   uint32_t exploring_slots = 1;
   uint32_t threads = 0;

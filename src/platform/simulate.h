@@ -1,21 +1,20 @@
-// The unified simulation entry point: one call shape for every driver.
+// The one-shot simulation entry point: configure deployments, run the
+// closed loop, harvest one report.
 //
-// The four driver classes (FunctionSimulation / ClusterSimulation /
-// PlatformSimulation / FleetSimulation) grew four different Run* signatures
-// for what is one operation: configure deployments, run the closed loop,
-// harvest a report. Simulate() is that operation as a free function — pick a
-// topology, list the functions, pass one SimOptions (optionally with an
-// ObsSink), get one SimReport. The driver classes remain as thin wrappers
-// for callers that need incremental control (repeated runs on persistent
-// state, trace replay); Simulate() is the preferred surface for one-shot
-// experiments and is what pronghorn_sim / pronghorn_eval call.
+// Every closed-loop experiment is one operation in some topology: §5.2's
+// per-function CDFs use one worker, §5.3's amortization puts many workers on
+// one function, and fleet-scale runs shard many functions across threads.
+// Simulate() is that operation as a free function — pick a topology, list
+// the functions, pass one SimOptions (optionally with an ObsSink), get one
+// SimReport. It is what pronghorn_sim, pronghorn_eval and bench/suite call.
 //
-// Equivalence contract (covered by tests/driver_equivalence_test.cc): for
-// the same options and functions, Simulate() produces byte-identical digests
-// to the corresponding driver class — kSingle matches
-// Function/ClusterSimulation (sub-seed = options.seed), kPlatform matches
-// PlatformSimulation, kFleet matches FleetSimulation — with or without an
-// observability sink attached.
+// Callers that need more than one run — learned state that persists across
+// runs, trace replay, or access to the stores, engines and policy state of a
+// live deployment — drive a SimEnvironment (sim_environment.h) directly;
+// Simulate() is a thin configuration of that same kernel.
+//
+// Golden digests (tests/driver_equivalence_test.cc) pin each topology's
+// output, with or without an observability sink attached.
 
 #ifndef PRONGHORN_SRC_PLATFORM_SIMULATE_H_
 #define PRONGHORN_SRC_PLATFORM_SIMULATE_H_
@@ -35,22 +34,28 @@ namespace pronghorn {
 
 // How the deployments share infrastructure.
 enum class SimTopology {
-  // One deployment, one control plane, options.worker_slots slots. The RNG
-  // sub-seed is options.seed itself, so a kSingle run replays the historical
-  // FunctionSimulation (one slot) / ClusterSimulation (many) bit-for-bit.
+  // One deployment, one control plane, options.worker_slots slots (the
+  // first options.exploring_slots explore). The deployment is named after
+  // its profile and its RNG sub-seed is options.seed itself.
   kSingle,
   // Many deployments on ONE shared control plane (global Database + Object
   // Store), one worker slot each, closed loop across all of them; request
-  // counts sum into the environment-wide total. Matches PlatformSimulation.
+  // counts sum into the environment-wide total. Sub-seeds come from
+  // SimEnvironment::DeploymentSeed(options.seed, name).
   kPlatform,
-  // Many deployments, each its own isolated environment, sharded across
-  // options.threads workers and merged canonically. Per-deployment request
-  // counts. Matches FleetSimulation.
+  // Many deployments, each its own isolated single-deployment environment
+  // with options.worker_slots slots, sharded across options.threads workers
+  // and merged canonically. Per-deployment request counts. The merged report
+  // is bit-identical at every thread count: every RNG substream keys off
+  // (options.seed, name), and the merge folds in name order.
   kFleet,
 };
 
 // One function deployment in a Simulate() run. `profile` and `policy` are
-// borrowed and must outlive the call.
+// borrowed and must outlive the call. Under kFleet the policy is shared by
+// shards running concurrently, so it must be stateless per call (true of
+// every policy in src/core except a live StopConditionPolicy's request
+// counter); give a stateful policy one instance per function.
 struct SimFunctionSpec {
   std::string name;  // Unique; keys the RNG substream in multi-function runs.
   const WorkloadProfile* profile = nullptr;
@@ -103,17 +108,18 @@ struct SimReport : ReportCore {
   // report; nullptr when tracing was off. Never feeds Digest().
   const TraceRecorder* trace = nullptr;
 
-  // CRC32 over the canonical serialization (report_io::ReportDigest): the
-  // same layout as PlatformReport::Digest() and FleetReport::Digest(), so
-  // old- and new-surface runs of one experiment hash identically.
-  // Observability data (metrics, trace) is excluded by construction.
+  // CRC32 over the canonical serialization (report_io::ReportDigest): every
+  // per-function report in name order, then the shared core, so a
+  // one-function kPlatform run and a one-function kFleet run hash
+  // identically. Observability data (metrics, trace) is excluded by
+  // construction.
   uint32_t Digest() const;
 
   // Per-function lookup; nullptr when `name` is not in the run.
   const SimulationReport* Find(std::string_view name) const;
 
-  // Single-function flattened view (kSingle parity with TakeFlatReport).
-  // Requires at least one function.
+  // Single-function flattened view (under kSingle, what
+  // SimEnvironment::TakeFlatReport returns). Requires at least one function.
   const SimulationReport& flat() const { return per_function.front().report; }
 };
 
@@ -137,6 +143,14 @@ struct SimReport : ReportCore {
 Result<SimReport> Simulate(const WorkloadRegistry& registry, SimTopology topology,
                            std::span<const SimFunctionSpec> functions,
                            const SimOptions& options, ObsSink* obs = nullptr);
+
+// The fingerprint Simulate() keys its checkpoint frames by: seed, topology,
+// the digest-relevant options, and the (name, requests, slots) of every
+// function, order-insensitively. Scheduling knobs (threads, pinning, service
+// mode) and observability are not part of it: they never change a digest.
+uint64_t ExperimentFingerprint(SimTopology topology,
+                               std::span<const SimFunctionSpec> functions,
+                               const SimOptions& options);
 
 }  // namespace pronghorn
 

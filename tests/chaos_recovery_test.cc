@@ -15,7 +15,7 @@
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
 #include "src/platform/eviction.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/simulate.h"
 #include "src/store/fault_injection.h"
 #include "src/store/kv_database.h"
 #include "src/store/object_store.h"
@@ -293,25 +293,31 @@ TEST(ChaosRecoveryTest, PolicyConvergesUnderTenPercentFaultRate) {
   config.retain_random_percent = 10.0;
   const auto policy = RequestCentricPolicy::Create(config);
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-
   SimOptions options;
   options.seed = 42;
+  options.worker_slots = 1;
+  options.exploring_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 4;
   options.faults.get_failure_rate = 0.10;
   options.faults.put_failure_rate = 0.10;
   options.faults.delete_failure_rate = 0.10;
   options.faults.metadata_failure_rate = 0.10;
   options.faults.corruption_rate = 0.02;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(600);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &*policy;
+  spec.requests = 600;
+  auto simulated = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                            {&spec, 1}, options);
+  ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
+  const SimulationReport& report = simulated->flat();
 
   // Faults actually fired, and the recovery machinery absorbed them.
-  EXPECT_GT(report->faults.store_faults + report->faults.db_faults, 0u);
+  EXPECT_GT(report.faults.store_faults + report.faults.db_faults, 0u);
 
-  const auto convergence = ConvergenceRequest(report->records, 20, 0.02);
+  const auto convergence = ConvergenceRequest(report.records, 20, 0.02);
   ASSERT_TRUE(convergence.has_value());
   EXPECT_LE(*convergence, config.max_checkpoint_request + 100);
 }

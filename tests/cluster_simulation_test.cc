@@ -1,8 +1,15 @@
-#include "src/platform/cluster_simulation.h"
+// The multi-slot configuration of the kernel (§3.2, §5.3): many workers
+// serve one function behind a load balancer, the first `exploring_slots`
+// exploring and the rest restoring from the snapshots they publish through
+// the shared Database and Object Store. Runs through Simulate(kSingle)
+// with options.worker_slots slots, or a one-deployment SimEnvironment when
+// the test inspects the learned state.
 
 #include <gtest/gtest.h>
 
 #include "src/core/request_centric_policy.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -21,18 +28,32 @@ PolicyConfig TestConfig() {
   return config;
 }
 
+// Closed loop over options.worker_slots slots of one deployment, each worker
+// evicted every 4 requests; `requests` is the cluster-wide total.
+Result<SimulationReport> RunCluster(const WorkloadProfile& profile,
+                                    const OrchestrationPolicy& policy,
+                                    SimOptions options, uint64_t requests) {
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 4;
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &policy;
+  spec.requests = requests;
+  PRONGHORN_ASSIGN_OR_RETURN(SimReport report,
+                             Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                                      {&spec, 1}, options));
+  return std::move(report.per_function.front().report);
+}
+
 TEST(ClusterSimulationTest, ServesAllRequestsAcrossSlots) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.worker_slots = 4;
   options.exploring_slots = 1;
   options.seed = 2;
-  ClusterSimulation cluster(Profile("DynamicHTML"), WorkloadRegistry::Default(),
-                            *policy, **eviction, options);
-  auto report = cluster.RunClosedLoop(400);
+  auto report = RunCluster(Profile("DynamicHTML"), *policy, options, 400);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records.size(), 400u);
   // With 4 balanced slots, both roles served requests.
@@ -45,16 +66,12 @@ TEST(ClusterSimulationTest, ServesAllRequestsAcrossSlots) {
 TEST(ClusterSimulationTest, OnlyExploringSlotsCheckpoint) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
 
   SimOptions options;
   options.worker_slots = 4;
   options.exploring_slots = 0;  // Nobody explores: no snapshots ever.
   options.seed = 3;
-  ClusterSimulation cluster(Profile("DynamicHTML"), WorkloadRegistry::Default(),
-                            *policy, **eviction, options);
-  auto report = cluster.RunClosedLoop(200);
+  auto report = RunCluster(Profile("DynamicHTML"), *policy, options, 200);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->checkpoints, 0u);
   EXPECT_EQ(report->restores, 0u);  // Empty pool: all cold starts.
@@ -65,31 +82,33 @@ TEST(ClusterSimulationTest, ExploitersBenefitFromSharedPool) {
   // subset publishes through the shared Database/Object Store.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
+
   auto eviction = EveryKRequestsEviction::Create(4);
   ASSERT_TRUE(eviction.ok());
-
   SimOptions options;
-  options.worker_slots = 4;
-  options.exploring_slots = 1;
   options.seed = 4;
-  ClusterSimulation cluster(Profile("BFS"), WorkloadRegistry::Default(), *policy,
-                            **eviction, options);
-  auto report = cluster.RunClosedLoop(600);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->checkpoints, 0u);
-  EXPECT_GT(report->restores, 0u);
+  const WorkloadProfile& profile = Profile("BFS");
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(env.AddDeployment(profile.name, profile, *policy, **eviction,
+                                /*worker_slots=*/4, /*exploring_slots=*/1,
+                                options.seed)
+                  .ok());
+  ASSERT_TRUE(env.RunClosedLoop(600).ok());
+  const SimulationReport report = env.TakeFlatReport();
+  EXPECT_GT(report.checkpoints, 0u);
+  EXPECT_GT(report.restores, 0u);
 
   // Exploit slots restored snapshots they never created: restores far exceed
   // what one exploring slot's lifetimes could account for.
-  auto state = cluster.LoadPolicyState();
+  auto state = env.LoadPolicyState(0);
   ASSERT_TRUE(state.ok());
   EXPECT_FALSE(state->pool.empty());
 
   // Exploiters' later requests run at elevated JIT maturity.
   uint64_t late_maturity = 0;
   uint64_t late_count = 0;
-  for (size_t i = report->records.size() - 100; i < report->records.size(); ++i) {
-    late_maturity += report->records[i].request_number;
+  for (size_t i = report.records.size() - 100; i < report.records.size(); ++i) {
+    late_maturity += report.records[i].request_number;
     ++late_count;
   }
   EXPECT_GT(late_maturity / late_count, 10u);
@@ -99,8 +118,6 @@ TEST(ClusterSimulationTest, AmortizationReducesCheckpointCount) {
   // More exploit slots => fewer checkpoints for similar served volume.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
 
   uint64_t checkpoints_all_exploring = 0;
   uint64_t checkpoints_one_exploring = 0;
@@ -109,9 +126,7 @@ TEST(ClusterSimulationTest, AmortizationReducesCheckpointCount) {
     options.worker_slots = 4;
     options.exploring_slots = exploring;
     options.seed = 5;
-    ClusterSimulation cluster(Profile("MST"), WorkloadRegistry::Default(), *policy,
-                              **eviction, options);
-    auto report = cluster.RunClosedLoop(400);
+    auto report = RunCluster(Profile("MST"), *policy, options, 400);
     ASSERT_TRUE(report.ok());
     if (exploring == 4) {
       checkpoints_all_exploring = report->checkpoints;
@@ -126,8 +141,6 @@ TEST(ClusterSimulationTest, AmortizationReducesCheckpointCount) {
 TEST(ClusterSimulationTest, DeterministicForSeed) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.worker_slots = 3;
   options.exploring_slots = 2;
@@ -135,9 +148,7 @@ TEST(ClusterSimulationTest, DeterministicForSeed) {
 
   std::vector<int64_t> first_run;
   for (int run = 0; run < 2; ++run) {
-    ClusterSimulation cluster(Profile("Hash"), WorkloadRegistry::Default(), *policy,
-                              **eviction, options);
-    auto report = cluster.RunClosedLoop(150);
+    auto report = RunCluster(Profile("Hash"), *policy, options, 150);
     ASSERT_TRUE(report.ok());
     if (run == 0) {
       for (const RequestRecord& record : report->records) {
@@ -155,15 +166,11 @@ TEST(ClusterSimulationTest, DeterministicForSeed) {
 TEST(ClusterSimulationTest, ExploringSlotsClampedToWorkerSlots) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.worker_slots = 2;
   options.exploring_slots = 99;
   options.seed = 7;
-  ClusterSimulation cluster(Profile("DFS"), WorkloadRegistry::Default(), *policy,
-                            **eviction, options);
-  auto report = cluster.RunClosedLoop(50);
+  auto report = RunCluster(Profile("DFS"), *policy, options, 50);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->exploiting_latency.count(), 0u);  // Everyone explores.
 }

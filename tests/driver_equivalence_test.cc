@@ -1,17 +1,14 @@
-// Cross-driver equivalence: the four drivers are thin configurations of one
-// shared kernel (SimCore + SimEnvironment), so the degenerate configurations
-// must coincide exactly. A single-slot cluster replays the same seed to
-// bit-identical records as a function simulation, and a one-shard fleet
-// hashes to the same digest as a one-function platform.
+// Golden digests of every Simulate() topology, pinned as absolute constants:
+// a refactor of the simulation surface that changes any decision, record or
+// accounting field fails here, even when every path drifts together.
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "src/core/request_centric_policy.h"
 #include "src/obs/sink.h"
-#include "src/platform/cluster_simulation.h"
-#include "src/platform/fleet_simulation.h"
-#include "src/platform/function_simulation.h"
-#include "src/platform/platform_simulation.h"
 #include "src/platform/report_io.h"
 #include "src/platform/simulate.h"
 
@@ -32,151 +29,11 @@ PolicyConfig TestConfig() {
   return config;
 }
 
-void ExpectIdenticalRecords(const SimulationReport& function_report,
-                            const ClusterReport& cluster_report) {
-  ASSERT_EQ(function_report.records.size(), cluster_report.records.size());
-  for (size_t i = 0; i < function_report.records.size(); ++i) {
-    const RequestRecord& lhs = function_report.records[i];
-    const RequestRecord& rhs = cluster_report.records[i];
-    EXPECT_EQ(lhs.global_index, rhs.global_index) << i;
-    EXPECT_EQ(lhs.request_number, rhs.request_number) << i;
-    EXPECT_EQ(lhs.latency.ToMicros(), rhs.latency.ToMicros()) << i;
-    EXPECT_EQ(lhs.first_of_lifetime, rhs.first_of_lifetime) << i;
-    EXPECT_EQ(lhs.cold_start, rhs.cold_start) << i;
-    EXPECT_EQ(lhs.checkpoint_after, rhs.checkpoint_after) << i;
-  }
-  EXPECT_EQ(ClusterReportCrc32(function_report), ClusterReportCrc32(cluster_report));
-}
-
-// Runs both single-deployment drivers with identical options and asserts the
-// full flattened reports hash identically.
-void CheckFunctionVsSingleSlotCluster(EngineKind engine_kind,
-                                      const FaultPlan& faults) {
-  const auto policy = RequestCentricPolicy::Create(TestConfig());
-  ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-
-  SimOptions function_options;
-  function_options.seed = 11;
-  function_options.engine_kind = engine_kind;
-  function_options.faults = faults;
-  FunctionSimulation function(Profile("BFS"), WorkloadRegistry::Default(), *policy,
-                              **eviction, function_options);
-  auto function_report = function.RunClosedLoop(200);
-  ASSERT_TRUE(function_report.ok()) << function_report.status().ToString();
-
-  SimOptions cluster_options;
-  cluster_options.worker_slots = 1;
-  cluster_options.exploring_slots = 1;
-  cluster_options.seed = 11;
-  cluster_options.engine_kind = engine_kind;
-  cluster_options.faults = faults;
-  ClusterSimulation cluster(Profile("BFS"), WorkloadRegistry::Default(), *policy,
-                            **eviction, cluster_options);
-  auto cluster_report = cluster.RunClosedLoop(200);
-  ASSERT_TRUE(cluster_report.ok()) << cluster_report.status().ToString();
-
-  ExpectIdenticalRecords(*function_report, *cluster_report);
-}
-
-TEST(DriverEquivalenceTest, FunctionMatchesSingleSlotCluster) {
-  CheckFunctionVsSingleSlotCluster(EngineKind::kCriuLike, FaultPlan{});
-}
-
-TEST(DriverEquivalenceTest, FunctionMatchesSingleSlotClusterWithDeltaEngine) {
-  CheckFunctionVsSingleSlotCluster(EngineKind::kDelta, FaultPlan{});
-}
-
-TEST(DriverEquivalenceTest, FunctionMatchesSingleSlotClusterUnderFaults) {
-  FaultPlan faults;
-  faults.get_failure_rate = 0.08;
-  faults.put_failure_rate = 0.08;
-  faults.corruption_rate = 0.02;
-  faults.seed = 99;
-  CheckFunctionVsSingleSlotCluster(EngineKind::kCriuLike, faults);
-}
-
-TEST(DriverEquivalenceTest, EngineKindChangesTheOutcome) {
-  // Sanity check that the engine selection actually reaches the kernel: the
-  // two engines must not replay to the same bytes.
-  const auto policy = RequestCentricPolicy::Create(TestConfig());
-  ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-
-  uint32_t digests[2] = {0, 0};
-  for (const EngineKind kind : {EngineKind::kCriuLike, EngineKind::kDelta}) {
-    SimOptions options;
-    options.seed = 12;
-    options.engine_kind = kind;
-    FunctionSimulation simulation(Profile("MST"), WorkloadRegistry::Default(),
-                                  *policy, **eviction, options);
-    auto report = simulation.RunClosedLoop(150);
-    ASSERT_TRUE(report.ok());
-    digests[kind == EngineKind::kDelta ? 1 : 0] = ClusterReportCrc32(*report);
-  }
-  EXPECT_NE(digests[0], digests[1]);
-}
-
-TEST(DriverEquivalenceTest, OneShardFleetMatchesOneFunctionPlatform) {
-  // Both sides derive the deployment's sub-seed from (seed, name), so a
-  // single-deployment fleet and a single-deployment platform walk identical
-  // event sequences and their digests share one canonical layout.
-  const auto policy = RequestCentricPolicy::Create(TestConfig());
-  ASSERT_TRUE(policy.ok());
-  const WorkloadProfile& profile = Profile("DynamicHTML");
-  constexpr uint64_t kSeed = 21;
-  constexpr uint64_t kRequests = 300;
-
-  SimOptions fleet_options;
-  fleet_options.seed = kSeed;
-  fleet_options.threads = 1;
-  fleet_options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
-  fleet_options.eviction.k = 4;
-  FleetSimulation fleet(WorkloadRegistry::Default(), fleet_options);
-  FleetFunctionSpec spec;
-  spec.name = profile.name;
-  spec.profile = &profile;
-  spec.policy = &*policy;
-  spec.requests = kRequests;
-  spec.worker_slots = 1;
-  spec.exploring_slots = 1;
-  ASSERT_TRUE(fleet.AddFunction(spec).ok());
-  auto fleet_report = fleet.Run();
-  ASSERT_TRUE(fleet_report.ok()) << fleet_report.status().ToString();
-
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  SimOptions platform_options;
-  platform_options.seed = kSeed;
-  PlatformSimulation platform(WorkloadRegistry::Default(), **eviction,
-                              platform_options);
-  ASSERT_TRUE(platform.DeployFunction(profile, *policy).ok());
-  auto platform_report = platform.RunClosedLoop(kRequests);
-  ASSERT_TRUE(platform_report.ok()) << platform_report.status().ToString();
-
-  ASSERT_EQ(platform_report->per_function.size(), 1u);
-  const SimulationReport& platform_function =
-      platform_report->per_function.at(profile.name);
-  const ClusterReport* fleet_function = fleet_report->Find(profile.name);
-  ASSERT_NE(fleet_function, nullptr);
-  EXPECT_EQ(platform_function.records.size(), kRequests);
-  EXPECT_EQ(fleet_function->records.size(), kRequests);
-  EXPECT_EQ(fleet_report->Digest(), platform_report->Digest());
-}
-
-// --- The unified Simulate() surface ------------------------------------
-//
-// Simulate() is a veneer over the same kernel, so each topology must replay
-// its historical driver bit-for-bit on the PR 3 golden seeds.
-
-constexpr uint64_t kGoldenSeed = 21;
-constexpr uint64_t kGoldenRequests = 300;
-
-SimOptions GoldenOptions() {
+// One worker slot, every-4-requests eviction: the paper's single-function
+// measurement setup.
+SimOptions SingleSlotOptions(uint64_t seed) {
   SimOptions options;
-  options.seed = kGoldenSeed;
+  options.seed = seed;
   options.worker_slots = 1;
   options.exploring_slots = 1;
   options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
@@ -184,76 +41,103 @@ SimOptions GoldenOptions() {
   return options;
 }
 
-SimFunctionSpec GoldenSpec(const WorkloadProfile& profile,
-                           const OrchestrationPolicy& policy) {
+SimFunctionSpec Spec(const WorkloadProfile& profile, const OrchestrationPolicy& policy,
+                     uint64_t requests) {
   SimFunctionSpec spec;
   spec.name = profile.name;
   spec.profile = &profile;
   spec.policy = &policy;
-  spec.requests = kGoldenRequests;
+  spec.requests = requests;
   return spec;
 }
 
-TEST(SimulateEquivalenceTest, SingleTopologyReplaysFunctionSimulation) {
+SimReport MustSimulate(SimTopology topology, std::span<const SimFunctionSpec> specs,
+                       const SimOptions& options, ObsSink* obs = nullptr) {
+  auto report = Simulate(WorkloadRegistry::Default(), topology, specs, options, obs);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return *std::move(report);
+}
+
+// BFS at seed 11, 200 requests, one slot: FlatReportCrc32 of the flat report.
+uint32_t BfsSeed11Crc(EngineKind engine_kind, const FaultPlan& faults) {
+  const auto policy = RequestCentricPolicy::Create(TestConfig());
+  EXPECT_TRUE(policy.ok());
+  SimOptions options = SingleSlotOptions(11);
+  options.engine_kind = engine_kind;
+  options.faults = faults;
+  const SimFunctionSpec spec = Spec(Profile("BFS"), *policy, 200);
+  const SimReport report = MustSimulate(SimTopology::kSingle, {&spec, 1}, options);
+  EXPECT_EQ(report.flat().records.size(), 200u);
+  return FlatReportCrc32(report.flat());
+}
+
+TEST(DriverEquivalenceTest, BfsGoldenWithCriuEngine) {
+  EXPECT_EQ(BfsSeed11Crc(EngineKind::kCriuLike, FaultPlan{}), 0xbf2412fdu);
+}
+
+TEST(DriverEquivalenceTest, BfsGoldenWithDeltaEngine) {
+  EXPECT_EQ(BfsSeed11Crc(EngineKind::kDelta, FaultPlan{}), 0x955a5896u);
+}
+
+TEST(DriverEquivalenceTest, BfsGoldenUnderFaults) {
+  FaultPlan faults;
+  faults.get_failure_rate = 0.08;
+  faults.put_failure_rate = 0.08;
+  faults.corruption_rate = 0.02;
+  faults.seed = 99;
+  EXPECT_EQ(BfsSeed11Crc(EngineKind::kCriuLike, faults), 0xa3fd3d96u);
+}
+
+TEST(DriverEquivalenceTest, EngineKindChangesTheOutcome) {
+  // Sanity check that the engine selection actually reaches the kernel: the
+  // two engines must not replay to the same bytes.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  const WorkloadProfile& profile = Profile("DynamicHTML");
+  const SimFunctionSpec spec = Spec(Profile("MST"), *policy, 150);
+  uint32_t digests[2] = {0, 0};
+  for (const EngineKind kind : {EngineKind::kCriuLike, EngineKind::kDelta}) {
+    SimOptions options = SingleSlotOptions(12);
+    options.engine_kind = kind;
+    const SimReport report = MustSimulate(SimTopology::kSingle, {&spec, 1}, options);
+    digests[kind == EngineKind::kDelta ? 1 : 0] = FlatReportCrc32(report.flat());
+  }
+  EXPECT_NE(digests[0], digests[1]);
+}
 
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  SimOptions old_options;
-  old_options.seed = kGoldenSeed;
-  FunctionSimulation function(profile, WorkloadRegistry::Default(), *policy,
-                              **eviction, old_options);
-  auto old_report = function.RunClosedLoop(kGoldenRequests);
-  ASSERT_TRUE(old_report.ok()) << old_report.status().ToString();
+// --- The golden configuration: DynamicHTML, seed 21, 300 requests ---------
 
-  const SimOptions options = GoldenOptions();
-  const SimFunctionSpec spec = GoldenSpec(profile, *policy);
-  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                         std::span<const SimFunctionSpec>(&spec, 1), options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+constexpr uint64_t kGoldenSeed = 21;
+constexpr uint64_t kGoldenRequests = 300;
+// kPlatform and kFleet derive the deployment's sub-seed from (seed, name)
+// and share one canonical digest layout, so a one-function run of either
+// hashes to the same value.
+constexpr uint32_t kOneFunctionDigest = 0xaca40728u;
 
-  ExpectIdenticalRecords(report->flat(), *old_report);
-  EXPECT_EQ(ClusterReportCrc32(report->flat()), ClusterReportCrc32(*old_report));
+TEST(SimulateEquivalenceTest, SingleTopologyGolden) {
+  const auto policy = RequestCentricPolicy::Create(TestConfig());
+  ASSERT_TRUE(policy.ok());
+  const SimFunctionSpec spec = Spec(Profile("DynamicHTML"), *policy, kGoldenRequests);
+  const SimReport report =
+      MustSimulate(SimTopology::kSingle, {&spec, 1}, SingleSlotOptions(kGoldenSeed));
+  ASSERT_EQ(report.flat().records.size(), kGoldenRequests);
+  EXPECT_EQ(report.Digest(), 0x1d441be3u);
+  EXPECT_EQ(FlatReportCrc32(report.flat()), 0xebc62c1du);
 }
 
 TEST(SimulateEquivalenceTest, PlatformAndFleetTopologiesShareTheGoldenDigest) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  const WorkloadProfile& profile = Profile("DynamicHTML");
-
-  // The historical driver's digest for the golden configuration.
-  SimOptions fleet_options;
-  fleet_options.seed = kGoldenSeed;
-  fleet_options.threads = 1;
-  fleet_options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
-  fleet_options.eviction.k = 4;
-  FleetSimulation fleet(WorkloadRegistry::Default(), fleet_options);
-  FleetFunctionSpec old_spec;
-  old_spec.name = profile.name;
-  old_spec.profile = &profile;
-  old_spec.policy = &*policy;
-  old_spec.requests = kGoldenRequests;
-  old_spec.worker_slots = 1;
-  old_spec.exploring_slots = 1;
-  ASSERT_TRUE(fleet.AddFunction(old_spec).ok());
-  auto old_report = fleet.Run();
-  ASSERT_TRUE(old_report.ok()) << old_report.status().ToString();
-
-  const SimOptions options = GoldenOptions();
-  const SimFunctionSpec spec = GoldenSpec(profile, *policy);
-  auto platform_report =
-      Simulate(WorkloadRegistry::Default(), SimTopology::kPlatform,
-               std::span<const SimFunctionSpec>(&spec, 1), options);
-  ASSERT_TRUE(platform_report.ok()) << platform_report.status().ToString();
-  auto fleet_report =
-      Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
-               std::span<const SimFunctionSpec>(&spec, 1), options);
-  ASSERT_TRUE(fleet_report.ok()) << fleet_report.status().ToString();
-
-  EXPECT_EQ(platform_report->Digest(), old_report->Digest());
-  EXPECT_EQ(fleet_report->Digest(), old_report->Digest());
+  const SimFunctionSpec spec = Spec(Profile("DynamicHTML"), *policy, kGoldenRequests);
+  SimOptions options = SingleSlotOptions(kGoldenSeed);
+  options.threads = 1;
+  const SimReport platform = MustSimulate(SimTopology::kPlatform, {&spec, 1}, options);
+  const SimReport fleet = MustSimulate(SimTopology::kFleet, {&spec, 1}, options);
+  ASSERT_NE(platform.Find(spec.name), nullptr);
+  ASSERT_NE(fleet.Find(spec.name), nullptr);
+  EXPECT_EQ(platform.Find(spec.name)->records.size(), kGoldenRequests);
+  EXPECT_EQ(fleet.Find(spec.name)->records.size(), kGoldenRequests);
+  EXPECT_EQ(platform.Digest(), kOneFunctionDigest);
+  EXPECT_EQ(fleet.Digest(), kOneFunctionDigest);
 }
 
 TEST(SimulateEquivalenceTest, ObservabilityAndThreadCountNeverPerturbDigests) {
@@ -261,32 +145,24 @@ TEST(SimulateEquivalenceTest, ObservabilityAndThreadCountNeverPerturbDigests) {
   // every thread count, with the sink attached and detached alike.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  const WorkloadProfile* profiles[] = {&Profile("DynamicHTML"), &Profile("BFS"),
-                                       &Profile("MST")};
-
   std::vector<SimFunctionSpec> specs;
-  for (const WorkloadProfile* profile : profiles) {
-    specs.push_back(GoldenSpec(*profile, *policy));
+  for (const char* name : {"DynamicHTML", "BFS", "MST"}) {
+    specs.push_back(Spec(Profile(name), *policy, kGoldenRequests));
   }
-
-  std::vector<uint32_t> digests;
   for (const uint32_t threads : {1u, 2u, 8u}) {
     for (const bool with_obs : {false, true}) {
-      SimOptions options = GoldenOptions();
+      SimOptions options = SingleSlotOptions(kGoldenSeed);
       options.threads = threads;
       StandardObs obs;
-      auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
-                             specs, options, with_obs ? &obs : nullptr);
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      digests.push_back(report->Digest());
+      const SimReport report = MustSimulate(SimTopology::kFleet, specs, options,
+                                            with_obs ? &obs : nullptr);
+      EXPECT_EQ(report.Digest(), 0xb71a8622u)
+          << "threads=" << threads << " obs=" << with_obs;
       if (with_obs) {
         EXPECT_GT(obs.trace().recorded(), 0u);
-        EXPECT_FALSE(report->metrics.empty());
+        EXPECT_FALSE(report.metrics.empty());
       }
     }
-  }
-  for (const uint32_t digest : digests) {
-    EXPECT_EQ(digest, digests.front());
   }
 }
 

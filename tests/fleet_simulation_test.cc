@@ -1,19 +1,21 @@
-// Golden determinism tests for the sharded fleet simulation: the merged
-// fleet report must be bit-identical whatever the thread count and whatever
-// order deployments were registered or shards finished in. Bitwise equality
-// is asserted via CRC32 over the canonical ClusterReport serialization.
-
-#include "src/platform/fleet_simulation.h"
+// Golden determinism tests for the sharded fleet topology, Simulate(kFleet):
+// the merged report must be bit-identical whatever the thread count and
+// whatever order functions were listed or shards finished in. Bitwise
+// equality is asserted via CRC32 over the canonical flat-report
+// serialization, and the healthy, chaos and geometric digests are pinned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/core/request_centric_policy.h"
 #include "src/platform/report_io.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -45,46 +47,61 @@ std::vector<const WorkloadProfile*> TestProfiles() {
   return profiles;
 }
 
-FleetReport MustRun(const OrchestrationPolicy& policy, uint32_t threads,
-                    bool reverse_registration = false,
-                    FleetEvictionSpec eviction = FleetEvictionSpec{},
-                    FaultPlan faults = FaultPlan{}) {
+// The six-function fleet's digest at seed 42, three slots per function:
+// healthy, under the chaos plan below, and with geometric eviction.
+constexpr uint32_t kFleetDigest = 0xab182c77u;
+constexpr uint32_t kChaosFleetDigest = 0xfbcc807bu;
+constexpr uint32_t kGeometricFleetDigest = 0x9e7af135u;
+
+SimReport MustRun(const OrchestrationPolicy& policy, uint32_t threads,
+                  bool reverse_registration = false,
+                  FleetEvictionSpec eviction = FleetEvictionSpec{},
+                  FaultPlan faults = FaultPlan{}) {
   SimOptions options;
   options.seed = kSeed;
   options.threads = threads;
+  options.worker_slots = 3;
+  options.exploring_slots = 1;
   options.eviction = eviction;
   options.faults = faults;
-  FleetSimulation fleet(WorkloadRegistry::Default(), options);
 
   const auto profiles = TestProfiles();
-  std::vector<size_t> order(profiles.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = reverse_registration ? order.size() - 1 - i : i;
-  }
-  for (const size_t i : order) {
-    FleetFunctionSpec spec;
+  std::vector<SimFunctionSpec> specs;
+  for (size_t n = 0; n < profiles.size(); ++n) {
+    const size_t i = reverse_registration ? profiles.size() - 1 - n : n;
+    SimFunctionSpec spec;
     spec.name = "fn" + std::to_string(i) + "-" + profiles[i]->name;
     spec.profile = profiles[i];
     spec.policy = &policy;
     spec.requests = kRequestsPerFunction;
-    spec.worker_slots = 3;
-    spec.exploring_slots = 1;
-    EXPECT_TRUE(fleet.AddFunction(std::move(spec)).ok());
+    specs.push_back(std::move(spec));
   }
-  auto report = fleet.Run();
+  auto report =
+      Simulate(WorkloadRegistry::Default(), SimTopology::kFleet, specs, options);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return *std::move(report);
 }
 
+FaultPlan ChaosPlan() {
+  FaultPlan faults;
+  faults.get_failure_rate = 0.10;
+  faults.put_failure_rate = 0.10;
+  faults.delete_failure_rate = 0.10;
+  faults.metadata_failure_rate = 0.10;
+  faults.corruption_rate = 0.02;
+  return faults;
+}
+
 TEST(FleetSimulationTest, MergedReportBitIdenticalAcrossThreadCounts) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport one = MustRun(policy, 1);
-  const FleetReport two = MustRun(policy, 2);
-  const FleetReport eight = MustRun(policy, 8);
+  const SimReport one = MustRun(policy, 1);
+  const SimReport two = MustRun(policy, 2);
+  const SimReport eight = MustRun(policy, 8);
 
-  // The headline guarantee: one CRC32 over every serialized ClusterReport.
-  EXPECT_EQ(one.Digest(), two.Digest());
-  EXPECT_EQ(one.Digest(), eight.Digest());
+  // The headline guarantee: one CRC32 over every serialized flat report.
+  EXPECT_EQ(one.Digest(), kFleetDigest);
+  EXPECT_EQ(two.Digest(), kFleetDigest);
+  EXPECT_EQ(eight.Digest(), kFleetDigest);
 
   // And the per-function summaries behind it, function by function.
   ASSERT_EQ(one.per_function.size(), kFunctions);
@@ -93,7 +110,7 @@ TEST(FleetSimulationTest, MergedReportBitIdenticalAcrossThreadCounts) {
     const auto& [name_a, report_a] = one.per_function[i];
     const auto& [name_b, report_b] = eight.per_function[i];
     EXPECT_EQ(name_a, name_b);
-    EXPECT_EQ(ClusterReportCrc32(report_a), ClusterReportCrc32(report_b));
+    EXPECT_EQ(FlatReportCrc32(report_a), FlatReportCrc32(report_b));
     EXPECT_EQ(report_a.records.size(), report_b.records.size());
     EXPECT_EQ(report_a.checkpoints, report_b.checkpoints);
     EXPECT_EQ(report_a.restores, report_b.restores);
@@ -101,8 +118,8 @@ TEST(FleetSimulationTest, MergedReportBitIdenticalAcrossThreadCounts) {
   }
 
   // Fleet-level aggregates are derived from the same bytes.
-  EXPECT_EQ(one.fleet_latency.count(), eight.fleet_latency.count());
-  EXPECT_EQ(one.fleet_latency.Quantile(50), eight.fleet_latency.Quantile(50));
+  EXPECT_EQ(one.latency.count(), eight.latency.count());
+  EXPECT_EQ(one.latency.Quantile(50), eight.latency.Quantile(50));
   EXPECT_EQ(one.checkpoints, eight.checkpoints);
   EXPECT_EQ(one.database.reads, eight.database.reads);
   EXPECT_EQ(one.object_store.network_bytes_uploaded,
@@ -111,8 +128,8 @@ TEST(FleetSimulationTest, MergedReportBitIdenticalAcrossThreadCounts) {
 
 TEST(FleetSimulationTest, RegistrationOrderDoesNotChangeTheMergedReport) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport forward = MustRun(policy, 4, /*reverse_registration=*/false);
-  const FleetReport reversed = MustRun(policy, 4, /*reverse_registration=*/true);
+  const SimReport forward = MustRun(policy, 4, /*reverse_registration=*/false);
+  const SimReport reversed = MustRun(policy, 4, /*reverse_registration=*/true);
   EXPECT_EQ(forward.Digest(), reversed.Digest());
 }
 
@@ -124,9 +141,10 @@ TEST(FleetSimulationTest, GeometricEvictionStaysDeterministicAcrossThreads) {
   FleetEvictionSpec eviction;
   eviction.kind = FleetEvictionSpec::Kind::kGeometric;
   eviction.mean_requests = 4.0;
-  const FleetReport one = MustRun(policy, 1, false, eviction);
-  const FleetReport four = MustRun(policy, 4, false, eviction);
-  EXPECT_EQ(one.Digest(), four.Digest());
+  const SimReport one = MustRun(policy, 1, false, eviction);
+  const SimReport four = MustRun(policy, 4, false, eviction);
+  EXPECT_EQ(one.Digest(), kGeometricFleetDigest);
+  EXPECT_EQ(four.Digest(), kGeometricFleetDigest);
 }
 
 TEST(FleetSimulationTest, FaultPlanStaysBitIdenticalAcrossThreadCounts) {
@@ -136,53 +154,49 @@ TEST(FleetSimulationTest, FaultPlanStaysBitIdenticalAcrossThreadCounts) {
   // digest covers the merged FaultRecoveryStats, so this also pins the
   // recovery counters, not just the latency records.
   const RequestCentricPolicy policy = MakePolicy();
-  FaultPlan faults;
-  faults.get_failure_rate = 0.10;
-  faults.put_failure_rate = 0.10;
-  faults.delete_failure_rate = 0.10;
-  faults.metadata_failure_rate = 0.10;
-  faults.corruption_rate = 0.02;
-  const FleetReport one = MustRun(policy, 1, false, FleetEvictionSpec{}, faults);
-  const FleetReport two = MustRun(policy, 2, false, FleetEvictionSpec{}, faults);
-  const FleetReport eight = MustRun(policy, 8, false, FleetEvictionSpec{}, faults);
+  const FaultPlan faults = ChaosPlan();
+  const SimReport one = MustRun(policy, 1, false, FleetEvictionSpec{}, faults);
+  const SimReport two = MustRun(policy, 2, false, FleetEvictionSpec{}, faults);
+  const SimReport eight = MustRun(policy, 8, false, FleetEvictionSpec{}, faults);
 
   // Faults really fired (otherwise this test is vacuous)...
   EXPECT_GT(one.faults.store_faults + one.faults.db_faults, 0u);
   // ...and the merged report is byte-identical whatever the thread count.
-  EXPECT_EQ(one.Digest(), two.Digest());
-  EXPECT_EQ(one.Digest(), eight.Digest());
+  EXPECT_EQ(one.Digest(), kChaosFleetDigest);
+  EXPECT_EQ(two.Digest(), kChaosFleetDigest);
+  EXPECT_EQ(eight.Digest(), kChaosFleetDigest);
 
   // A fault plan must also change behavior relative to the healthy fleet.
-  const FleetReport healthy = MustRun(policy, 2);
+  const SimReport healthy = MustRun(policy, 2);
   EXPECT_NE(one.Digest(), healthy.Digest());
   EXPECT_EQ(healthy.faults.store_faults + healthy.faults.db_faults, 0u);
 }
 
 TEST(FleetSimulationTest, FleetCountersAreSumsOfPerFunctionCounters) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport report = MustRun(policy, 2);
+  const SimReport report = MustRun(policy, 2);
   uint64_t lifetimes = 0, checkpoints = 0, restores = 0, cold = 0, records = 0;
   uint64_t kv_reads = 0;
-  for (const auto& [name, cluster] : report.per_function) {
-    lifetimes += cluster.worker_lifetimes;
-    checkpoints += cluster.checkpoints;
-    restores += cluster.restores;
-    cold += cluster.cold_starts;
-    records += cluster.records.size();
-    kv_reads += cluster.database.reads;
+  for (const auto& [name, shard] : report.per_function) {
+    lifetimes += shard.worker_lifetimes;
+    checkpoints += shard.checkpoints;
+    restores += shard.restores;
+    cold += shard.cold_starts;
+    records += shard.records.size();
+    kv_reads += shard.database.reads;
   }
   EXPECT_EQ(report.worker_lifetimes, lifetimes);
   EXPECT_EQ(report.checkpoints, checkpoints);
   EXPECT_EQ(report.restores, restores);
   EXPECT_EQ(report.cold_starts, cold);
-  EXPECT_EQ(report.fleet_latency.count(), records);
-  EXPECT_EQ(report.fleet_latency.count(), kFunctions * kRequestsPerFunction);
+  EXPECT_EQ(report.latency.count(), records);
+  EXPECT_EQ(report.latency.count(), kFunctions * kRequestsPerFunction);
   EXPECT_EQ(report.database.reads, kv_reads);
 }
 
 TEST(FleetSimulationTest, PerFunctionResultsSortedByNameAndFindable) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport report = MustRun(policy, 2);
+  const SimReport report = MustRun(policy, 2);
   ASSERT_EQ(report.per_function.size(), kFunctions);
   EXPECT_TRUE(std::is_sorted(
       report.per_function.begin(), report.per_function.end(),
@@ -195,62 +209,61 @@ TEST(FleetSimulationTest, PerFunctionResultsSortedByNameAndFindable) {
 }
 
 TEST(FleetSimulationTest, FunctionSeedDependsOnSeedAndNameOnly) {
-  EXPECT_EQ(FleetSimulation::FunctionSeed(1, "alpha"),
-            FleetSimulation::FunctionSeed(1, "alpha"));
-  EXPECT_NE(FleetSimulation::FunctionSeed(1, "alpha"),
-            FleetSimulation::FunctionSeed(1, "beta"));
-  EXPECT_NE(FleetSimulation::FunctionSeed(1, "alpha"),
-            FleetSimulation::FunctionSeed(2, "alpha"));
+  EXPECT_EQ(SimEnvironment::DeploymentSeed(1, "alpha"),
+            SimEnvironment::DeploymentSeed(1, "alpha"));
+  EXPECT_NE(SimEnvironment::DeploymentSeed(1, "alpha"),
+            SimEnvironment::DeploymentSeed(1, "beta"));
+  EXPECT_NE(SimEnvironment::DeploymentSeed(1, "alpha"),
+            SimEnvironment::DeploymentSeed(2, "alpha"));
+}
+
+Status RunFleet(std::span<const SimFunctionSpec> specs) {
+  return Simulate(WorkloadRegistry::Default(), SimTopology::kFleet, specs,
+                  SimOptions{})
+      .status();
 }
 
 TEST(FleetSimulationTest, RejectsInvalidDeployments) {
   const RequestCentricPolicy policy = MakePolicy();
   const auto profiles = TestProfiles();
-  FleetSimulation fleet(WorkloadRegistry::Default(), SimOptions{});
 
-  FleetFunctionSpec good;
+  SimFunctionSpec good;
   good.name = "fn";
   good.profile = profiles[0];
   good.policy = &policy;
-  EXPECT_TRUE(fleet.AddFunction(good).ok());
-  EXPECT_EQ(fleet.AddFunction(good).code(), StatusCode::kAlreadyExists);
+  const SimFunctionSpec duplicate[] = {good, good};
+  EXPECT_EQ(RunFleet(duplicate).code(), StatusCode::kAlreadyExists);
 
-  FleetFunctionSpec unnamed = good;
+  SimFunctionSpec unnamed = good;
   unnamed.name.clear();
-  EXPECT_EQ(fleet.AddFunction(unnamed).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunFleet({&unnamed, 1}).code(), StatusCode::kInvalidArgument);
 
-  FleetFunctionSpec no_profile = good;
-  no_profile.name = "fn2";
+  SimFunctionSpec no_profile = good;
   no_profile.profile = nullptr;
-  EXPECT_EQ(fleet.AddFunction(no_profile).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunFleet({&no_profile, 1}).code(), StatusCode::kInvalidArgument);
 
-  FleetFunctionSpec no_requests = good;
-  no_requests.name = "fn3";
+  SimFunctionSpec no_requests = good;
   no_requests.requests = 0;
-  EXPECT_EQ(fleet.AddFunction(no_requests).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunFleet({&no_requests, 1}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FleetSimulationTest, EmptyFleetFailsToRun) {
-  FleetSimulation fleet(WorkloadRegistry::Default(), SimOptions{});
-  EXPECT_EQ(fleet.Run().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(RunFleet({}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FleetSimulationTest, DistinctSeedsProduceDistinctFleets) {
   const RequestCentricPolicy policy = MakePolicy();
-  SimOptions options_a;
-  options_a.seed = 7;
-  SimOptions options_b;
-  options_b.seed = 8;
+  SimFunctionSpec spec;
+  spec.name = "fn";
+  spec.profile = TestProfiles()[0];
+  spec.policy = &policy;
+  spec.requests = 60;
   std::set<uint32_t> digests;
-  for (const SimOptions& options : {options_a, options_b}) {
-    FleetSimulation fleet(WorkloadRegistry::Default(), options);
-    FleetFunctionSpec spec;
-    spec.name = "fn";
-    spec.profile = TestProfiles()[0];
-    spec.policy = &policy;
-    spec.requests = 60;
-    ASSERT_TRUE(fleet.AddFunction(std::move(spec)).ok());
-    auto report = fleet.Run();
+  for (const uint64_t seed : {7u, 8u}) {
+    SimOptions options;
+    options.seed = seed;
+    auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
+                           {&spec, 1}, options);
     ASSERT_TRUE(report.ok());
     digests.insert(report->Digest());
   }

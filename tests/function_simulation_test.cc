@@ -1,9 +1,17 @@
-#include "src/platform/function_simulation.h"
+// The single-function, single-slot configuration of the kernel (the paper's
+// per-function measurement setup, §5.1): closed-loop runs through
+// Simulate(kSingle) with one worker slot, trace-driven runs and state
+// inspection through a one-deployment SimEnvironment.
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -22,13 +30,50 @@ PolicyConfig TestConfig(uint32_t beta) {
   return config;
 }
 
+// Closed loop on one worker slot evicted every `eviction_k` requests.
+Result<SimulationReport> RunClosedLoop(const WorkloadProfile& profile,
+                                       const OrchestrationPolicy& policy,
+                                       uint64_t eviction_k, SimOptions options,
+                                       uint64_t requests) {
+  options.worker_slots = 1;
+  options.exploring_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = eviction_k;
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &policy;
+  spec.requests = requests;
+  PRONGHORN_ASSIGN_OR_RETURN(SimReport report,
+                             Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                                      {&spec, 1}, options));
+  return std::move(report.per_function.front().report);
+}
+
+// Trace-driven run on one worker slot: requests arrive at the given times
+// and a request arriving while the worker is busy queues behind it. The
+// final worker is retired at the end of the trace.
+Result<SimulationReport> RunTrace(const WorkloadProfile& profile,
+                                  const OrchestrationPolicy& policy,
+                                  const EvictionModel& eviction,
+                                  const SimOptions& options,
+                                  std::span<const TimePoint> arrivals) {
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  PRONGHORN_RETURN_IF_ERROR(env.AddDeployment(profile.name, profile, policy, eviction,
+                                              /*worker_slots=*/1,
+                                              /*exploring_slots=*/1, options.seed));
+  std::vector<SimEnvironment::Arrival> events;
+  for (const TimePoint arrival : arrivals) {
+    events.push_back(SimEnvironment::Arrival{0, arrival});
+  }
+  PRONGHORN_RETURN_IF_ERROR(env.RunArrivals(events));
+  env.RetireAllWorkers();
+  return env.TakeFlatReport();
+}
+
 TEST(FunctionSimulationTest, ClosedLoopProducesOneRecordPerRequest) {
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(), policy,
-                         **eviction, SimOptions{});
-  auto report = sim.RunClosedLoop(100);
+  auto report = RunClosedLoop(Profile("DynamicHTML"), policy, 4, SimOptions{}, 100);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records.size(), 100u);
   for (size_t i = 0; i < report->records.size(); ++i) {
@@ -39,11 +84,7 @@ TEST(FunctionSimulationTest, ClosedLoopProducesOneRecordPerRequest) {
 
 TEST(FunctionSimulationTest, EvictionEveryKBoundsLifetimes) {
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(), policy,
-                         **eviction, SimOptions{});
-  auto report = sim.RunClosedLoop(100);
+  auto report = RunClosedLoop(Profile("DynamicHTML"), policy, 4, SimOptions{}, 100);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->worker_lifetimes, 25u);
   EXPECT_EQ(report->cold_starts, 25u);  // Cold policy never restores.
@@ -56,11 +97,7 @@ TEST(FunctionSimulationTest, EvictionEveryKBoundsLifetimes) {
 
 TEST(FunctionSimulationTest, ColdPolicyMaturityResetsPerLifetime) {
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(3);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(Profile("Hash"), WorkloadRegistry::Default(), policy,
-                         **eviction, SimOptions{});
-  auto report = sim.RunClosedLoop(30);
+  auto report = RunClosedLoop(Profile("Hash"), policy, 3, SimOptions{}, 30);
   ASSERT_TRUE(report.ok());
   for (size_t i = 0; i < report->records.size(); ++i) {
     EXPECT_EQ(report->records[i].request_number, i % 3 + 1) << i;
@@ -69,11 +106,7 @@ TEST(FunctionSimulationTest, ColdPolicyMaturityResetsPerLifetime) {
 
 TEST(FunctionSimulationTest, AfterFirstPolicyPinsMaturity) {
   const CheckpointAfterFirstPolicy policy{TestConfig(1)};
-  auto eviction = EveryKRequestsEviction::Create(1);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(Profile("Hash"), WorkloadRegistry::Default(), policy,
-                         **eviction, SimOptions{});
-  auto report = sim.RunClosedLoop(50);
+  auto report = RunClosedLoop(Profile("Hash"), policy, 1, SimOptions{}, 50);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->checkpoints, 1u);
   EXPECT_EQ(report->cold_starts, 1u);
@@ -87,11 +120,7 @@ TEST(FunctionSimulationTest, AfterFirstPolicyPinsMaturity) {
 TEST(FunctionSimulationTest, RequestCentricMaturityGrowsOverTime) {
   const auto policy = RequestCentricPolicy::Create(TestConfig(1));
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(1);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(), *policy,
-                         **eviction, SimOptions{});
-  auto report = sim.RunClosedLoop(400);
+  auto report = RunClosedLoop(Profile("DynamicHTML"), *policy, 1, SimOptions{}, 400);
   ASSERT_TRUE(report.ok());
   // The request-number chain must reach the W boundary through exploration.
   uint64_t max_maturity = 0;
@@ -110,17 +139,11 @@ TEST(FunctionSimulationTest, RequestCentricMaturityGrowsOverTime) {
 TEST(FunctionSimulationTest, DeterministicAcrossRuns) {
   const auto policy = RequestCentricPolicy::Create(TestConfig(4));
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.seed = 1234;
 
-  FunctionSimulation sim_a(Profile("MST"), WorkloadRegistry::Default(), *policy,
-                           **eviction, options);
-  FunctionSimulation sim_b(Profile("MST"), WorkloadRegistry::Default(), *policy,
-                           **eviction, options);
-  auto report_a = sim_a.RunClosedLoop(150);
-  auto report_b = sim_b.RunClosedLoop(150);
+  auto report_a = RunClosedLoop(Profile("MST"), *policy, 4, options, 150);
+  auto report_b = RunClosedLoop(Profile("MST"), *policy, 4, options, 150);
   ASSERT_TRUE(report_a.ok());
   ASSERT_TRUE(report_b.ok());
   ASSERT_EQ(report_a->records.size(), report_b->records.size());
@@ -133,18 +156,12 @@ TEST(FunctionSimulationTest, DeterministicAcrossRuns) {
 TEST(FunctionSimulationTest, SeedsChangeOutcomes) {
   const auto policy = RequestCentricPolicy::Create(TestConfig(4));
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
   SimOptions a;
   a.seed = 1;
   SimOptions b;
   b.seed = 2;
-  FunctionSimulation sim_a(Profile("MST"), WorkloadRegistry::Default(), *policy,
-                           **eviction, a);
-  FunctionSimulation sim_b(Profile("MST"), WorkloadRegistry::Default(), *policy,
-                           **eviction, b);
-  auto report_a = sim_a.RunClosedLoop(50);
-  auto report_b = sim_b.RunClosedLoop(50);
+  auto report_a = RunClosedLoop(Profile("MST"), *policy, 4, a, 50);
+  auto report_b = RunClosedLoop(Profile("MST"), *policy, 4, b, 50);
   ASSERT_TRUE(report_a.ok());
   ASSERT_TRUE(report_b.ok());
   bool any_difference = false;
@@ -156,8 +173,6 @@ TEST(FunctionSimulationTest, SeedsChangeOutcomes) {
 
 TEST(FunctionSimulationTest, StartupOnCriticalPathInflatesFirstRequests) {
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(5);
-  ASSERT_TRUE(eviction.ok());
 
   SimOptions off_path;
   off_path.seed = 9;
@@ -165,12 +180,8 @@ TEST(FunctionSimulationTest, StartupOnCriticalPathInflatesFirstRequests) {
   SimOptions on_path = off_path;
   on_path.lifecycle.startup_on_critical_path = true;
 
-  FunctionSimulation sim_off(Profile("Hash"), WorkloadRegistry::Default(), policy,
-                             **eviction, off_path);
-  FunctionSimulation sim_on(Profile("Hash"), WorkloadRegistry::Default(), policy,
-                            **eviction, on_path);
-  auto report_off = sim_off.RunClosedLoop(20);
-  auto report_on = sim_on.RunClosedLoop(20);
+  auto report_off = RunClosedLoop(Profile("Hash"), policy, 5, off_path, 20);
+  auto report_on = RunClosedLoop(Profile("Hash"), policy, 5, on_path, 20);
   ASSERT_TRUE(report_off.ok());
   ASSERT_TRUE(report_on.ok());
 
@@ -190,11 +201,12 @@ TEST(FunctionSimulationTest, StartupOnCriticalPathInflatesFirstRequests) {
 TEST(FunctionSimulationTest, TraceRejectsUnsortedArrivals) {
   const ColdStartPolicy policy;
   IdleTimeoutEviction eviction(Duration::Seconds(600));
-  FunctionSimulation sim(Profile("MST"), WorkloadRegistry::Default(), policy, eviction,
-                         SimOptions{});
   const std::vector<TimePoint> arrivals = {TimePoint::FromMicros(100),
                                            TimePoint::FromMicros(50)};
-  EXPECT_EQ(sim.RunTrace(arrivals).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunTrace(Profile("MST"), policy, eviction, SimOptions{}, arrivals)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FunctionSimulationTest, TraceIdleTimeoutEvicts) {
@@ -202,8 +214,6 @@ TEST(FunctionSimulationTest, TraceIdleTimeoutEvicts) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.input_noise = false;
-  FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(), policy,
-                         eviction, options);
   // Three bursts separated by gaps beyond the 60s timeout.
   std::vector<TimePoint> arrivals;
   for (int burst = 0; burst < 3; ++burst) {
@@ -212,7 +222,7 @@ TEST(FunctionSimulationTest, TraceIdleTimeoutEvicts) {
       arrivals.push_back(TimePoint::FromMicros(base + i * 1000000LL));
     }
   }
-  auto report = sim.RunTrace(arrivals);
+  auto report = RunTrace(Profile("DynamicHTML"), policy, eviction, options, arrivals);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->worker_lifetimes, 3u);
   EXPECT_EQ(report->records.size(), 12u);
@@ -223,12 +233,10 @@ TEST(FunctionSimulationTest, TraceQueueingDelaysBackToBackArrivals) {
   IdleTimeoutEviction eviction(Duration::Seconds(600));
   SimOptions options;
   options.input_noise = false;
-  FunctionSimulation sim(Profile("Video"), WorkloadRegistry::Default(), policy,
-                         eviction, options);
   // Two arrivals 1ms apart; Video takes seconds, so the second queues.
   const std::vector<TimePoint> arrivals = {TimePoint::FromMicros(0),
                                            TimePoint::FromMicros(1000)};
-  auto report = sim.RunTrace(arrivals);
+  auto report = RunTrace(Profile("Video"), policy, eviction, options, arrivals);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->records.size(), 2u);
   EXPECT_GT(report->records[1].latency,
@@ -240,23 +248,28 @@ TEST(FunctionSimulationTest, ReportAccountingIsConsistent) {
   ASSERT_TRUE(policy.ok());
   auto eviction = EveryKRequestsEviction::Create(4);
   ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(Profile("BFS"), WorkloadRegistry::Default(), *policy,
-                         **eviction, SimOptions{});
-  auto report = sim.RunClosedLoop(200);
-  ASSERT_TRUE(report.ok());
+  const WorkloadProfile& profile = Profile("BFS");
+  const SimOptions options;
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(env.AddDeployment(profile.name, profile, *policy, **eviction,
+                                /*worker_slots=*/1, /*exploring_slots=*/1,
+                                options.seed)
+                  .ok());
+  ASSERT_TRUE(env.RunClosedLoop(200).ok());
+  const SimulationReport report = env.TakeFlatReport();
 
-  EXPECT_EQ(report->worker_lifetimes, report->cold_starts + report->restores);
-  EXPECT_EQ(report->overheads.requests_served, 200u);
-  EXPECT_EQ(report->overheads.worker_starts, report->worker_lifetimes);
-  EXPECT_EQ(report->overheads.checkpoints_taken, report->checkpoints);
-  EXPECT_EQ(report->checkpoints, sim.engine().checkpoints_taken());
-  EXPECT_EQ(report->restores, sim.engine().restores_performed());
+  EXPECT_EQ(report.worker_lifetimes, report.cold_starts + report.restores);
+  EXPECT_EQ(report.overheads.requests_served, 200u);
+  EXPECT_EQ(report.overheads.worker_starts, report.worker_lifetimes);
+  EXPECT_EQ(report.overheads.checkpoints_taken, report.checkpoints);
+  EXPECT_EQ(report.checkpoints, env.engine(0).checkpoints_taken());
+  EXPECT_EQ(report.restores, env.engine(0).restores_performed());
   // Uploads happened for every checkpoint; pool bounded by C.
-  EXPECT_EQ(report->object_store.put_count, report->checkpoints);
-  auto state = sim.LoadPolicyState();
+  EXPECT_EQ(report.object_store.put_count, report.checkpoints);
+  auto state = env.LoadPolicyState(0);
   ASSERT_TRUE(state.ok());
   EXPECT_LE(state->pool.size(), 12u);
-  EXPECT_GT(report->end_time.ToMicros(), 0);
+  EXPECT_GT(report.end_time.ToMicros(), 0);
 }
 
 TEST(FunctionSimulationTest, CheckpointBlockingDelaysQueuedArrival) {
@@ -279,9 +292,8 @@ TEST(FunctionSimulationTest, CheckpointBlockingDelaysQueuedArrival) {
     options.seed = 99;
     options.input_noise = false;
     options.lifecycle.checkpoint_blocks_requests = blocks;
-    FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(),
-                           *policy, **eviction, options);
-    auto report = sim.RunTrace(arrivals);
+    auto report =
+        RunTrace(Profile("DynamicHTML"), *policy, **eviction, options, arrivals);
     ASSERT_TRUE(report.ok());
     ASSERT_EQ(report->records.size(), 2u);
     // Only meaningful when the checkpoint fired on the first request.
@@ -300,8 +312,6 @@ TEST(FunctionSimulationTest, WorkerOccupancyAccounting) {
   SimOptions options;
   options.input_noise = false;
   options.lifecycle.idle_resource_hold = eviction.timeout();
-  FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(), policy,
-                         eviction, options);
   // Two bursts of 3 back-to-back requests separated by a 10-minute gap: the
   // worker is evicted once (holding memory for the 60s idle hold) and the
   // final worker is accounted up to the end of the run.
@@ -312,7 +322,7 @@ TEST(FunctionSimulationTest, WorkerOccupancyAccounting) {
       arrivals.push_back(TimePoint::FromMicros(base + i * 100000LL));
     }
   }
-  auto report = sim.RunTrace(arrivals);
+  auto report = RunTrace(Profile("DynamicHTML"), policy, eviction, options, arrivals);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->worker_lifetimes, 2u);
   // First worker: ~0.3s serving + 60s idle hold; second: ~0.3s to run end.
@@ -336,9 +346,8 @@ TEST(FunctionSimulationTest, OccupancyScalesWithIdleHold) {
     SimOptions options;
     options.input_noise = false;
     options.lifecycle.idle_resource_hold = Duration::Seconds(static_cast<double>(hold_s));
-    FunctionSimulation sim(Profile("DynamicHTML"), WorkloadRegistry::Default(), policy,
-                           eviction, options);
-    auto report = sim.RunTrace(arrivals);
+    auto report =
+        RunTrace(Profile("DynamicHTML"), policy, eviction, options, arrivals);
     ASSERT_TRUE(report.ok());
     memory_time[idx++] = report->worker_memory_time_mb_s;
   }
@@ -347,19 +356,13 @@ TEST(FunctionSimulationTest, OccupancyScalesWithIdleHold) {
 
 TEST(FunctionSimulationTest, InputNoiseWidensDistribution) {
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(20);
-  ASSERT_TRUE(eviction.ok());
   SimOptions noisy;
   noisy.seed = 5;
   SimOptions quiet = noisy;
   quiet.input_noise = false;
 
-  FunctionSimulation sim_noisy(Profile("PageRank"), WorkloadRegistry::Default(), policy,
-                               **eviction, noisy);
-  FunctionSimulation sim_quiet(Profile("PageRank"), WorkloadRegistry::Default(), policy,
-                               **eviction, quiet);
-  auto report_noisy = sim_noisy.RunClosedLoop(300);
-  auto report_quiet = sim_quiet.RunClosedLoop(300);
+  auto report_noisy = RunClosedLoop(Profile("PageRank"), policy, 20, noisy, 300);
+  auto report_quiet = RunClosedLoop(Profile("PageRank"), policy, 20, quiet, 300);
   ASSERT_TRUE(report_noisy.ok());
   ASSERT_TRUE(report_quiet.ok());
 

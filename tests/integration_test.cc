@@ -6,7 +6,8 @@
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -27,17 +28,33 @@ PolicyConfig PaperConfig(const WorkloadProfile& profile, uint32_t eviction_k) {
   return config;
 }
 
+// One closed-loop run on a single worker slot evicted every `eviction_k`
+// requests: the paper's §5.1 measurement protocol.
 SimulationReport RunExperiment(const WorkloadProfile& profile, const OrchestrationPolicy& policy,
                      uint64_t eviction_k, uint64_t requests, uint64_t seed) {
-  auto eviction = EveryKRequestsEviction::Create(eviction_k);
-  EXPECT_TRUE(eviction.ok());
   SimOptions options;
   options.seed = seed;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(requests);
+  options.worker_slots = 1;
+  options.exploring_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = eviction_k;
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &policy;
+  spec.requests = requests;
+  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                         {&spec, 1}, options);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return *std::move(report);
+  return std::move(report->per_function.front().report);
+}
+
+// A single-slot deployment whose learned state persists across runs.
+Status DeploySingleSlot(SimEnvironment& env, const WorkloadProfile& profile,
+                        const OrchestrationPolicy& policy,
+                        const EvictionModel& eviction, uint64_t seed) {
+  return env.AddDeployment(profile.name, profile, policy, eviction,
+                           /*worker_slots=*/1, /*exploring_slots=*/1, seed);
 }
 
 TEST(IntegrationTest, RequestCentricBeatsStateOfTheArtOnComputeBound) {
@@ -133,17 +150,17 @@ TEST(IntegrationTest, SnapshotPoolStaysBounded) {
   ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.seed = 5;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(400);
-  ASSERT_TRUE(report.ok());
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(DeploySingleSlot(env, profile, *policy, **eviction, options.seed).ok());
+  ASSERT_TRUE(env.RunClosedLoop(400).ok());
+  const SimulationReport report = env.TakeFlatReport();
 
-  auto state = sim.LoadPolicyState();
+  auto state = env.LoadPolicyState(0);
   ASSERT_TRUE(state.ok());
   EXPECT_LE(state->pool.size(), config.pool_capacity);
   // Storage high-water mark ~ C x snapshot size (Table 5's max storage).
   const double max_storage_mb =
-      static_cast<double>(report->object_store.peak_logical_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(report.object_store.peak_logical_bytes) / (1024.0 * 1024.0);
   EXPECT_LE(max_storage_mb, profile.snapshot_mb * (config.pool_capacity + 1) * 1.1);
   EXPECT_GT(max_storage_mb, profile.snapshot_mb * 2);
 }
@@ -178,14 +195,14 @@ TEST(IntegrationTest, ContinuousLearningSurvivesInputShift) {
     EXPECT_TRUE(eviction.ok());
     SimOptions options;
     options.seed = 17;
-    FunctionSimulation sim(profile, WorkloadRegistry::Default(), p, **eviction, options);
+    SimEnvironment env(WorkloadRegistry::Default(), options);
+    EXPECT_TRUE(DeploySingleSlot(env, profile, p, **eviction, options.seed).ok());
     // Phase 1: 300 requests of normal traffic.
-    auto phase1 = sim.RunClosedLoop(300);
-    EXPECT_TRUE(phase1.ok());
+    EXPECT_TRUE(env.RunClosedLoop(300).ok());
+    (void)env.TakeFlatReport();
     // Phase 2: continue (same learned state) for another 300.
-    auto phase2 = sim.RunClosedLoop(300);
-    EXPECT_TRUE(phase2.ok());
-    return phase2->MedianLatencyUs();
+    EXPECT_TRUE(env.RunClosedLoop(300).ok());
+    return env.TakeFlatReport().MedianLatencyUs();
   };
   const double rc_median = run_with_shift(*policy);
   const double baseline_median = run_with_shift(baseline);
@@ -206,23 +223,23 @@ TEST(IntegrationTest, ExplorationSaturatesAtW) {
   ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.seed = 23;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
-  auto warmup = sim.RunClosedLoop(600);
-  ASSERT_TRUE(warmup.ok());
-  auto tail = sim.RunClosedLoop(200);
-  ASSERT_TRUE(tail.ok());
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(DeploySingleSlot(env, profile, *policy, **eviction, options.seed).ok());
+  ASSERT_TRUE(env.RunClosedLoop(600).ok());  // Warmup.
+  (void)env.TakeFlatReport();
+  ASSERT_TRUE(env.RunClosedLoop(200).ok());
+  const SimulationReport tail = env.TakeFlatReport();
   // The median tail request runs at high maturity (>= W): the search space
   // is fully explored and the pool holds late-request snapshots.
   std::vector<double> maturities;
-  for (const RequestRecord& record : tail->records) {
+  for (const RequestRecord& record : tail.records) {
     maturities.push_back(static_cast<double>(record.request_number));
   }
   EXPECT_GE(Percentile(maturities, 50.0), 20.0);
   // Checkpointing cost stays bounded at one per lifetime (Algorithm 1 plans
   // at most one checkpoint per worker; the paper's provider can additionally
   // stop checkpointing manually once converged).
-  EXPECT_LE(tail->checkpoints, tail->worker_lifetimes);
+  EXPECT_LE(tail.checkpoints, tail.worker_lifetimes);
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
-#include "src/platform/platform_simulation.h"
+// Many functions on one control plane (Figure 2 at platform scale): one
+// SimEnvironment with a single-slot deployment per function, all sharing
+// the global Database and Object Store, each with its own policy scope and
+// snapshot pool. Trace replays drive the environment directly; the
+// one-shot closed loop runs through Simulate(kPlatform).
 
 #include <gtest/gtest.h>
 
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 #include "src/trace/trace_generator.h"
 
 namespace pronghorn {
@@ -40,63 +46,80 @@ InvocationTrace MakeTrace() {
   return trace;
 }
 
+// Registers `profile` as a single-slot deployment seeded from
+// (environment seed, function name).
+Status Deploy(SimEnvironment& env, const WorkloadProfile& profile,
+              const OrchestrationPolicy& policy, const EvictionModel& eviction,
+              uint64_t seed) {
+  return env.AddDeployment(profile.name, profile, policy, eviction,
+                           /*worker_slots=*/1, /*exploring_slots=*/1,
+                           SimEnvironment::DeploymentSeed(seed, profile.name));
+}
+
+uint64_t TotalRecords(const EnvironmentReport& report) {
+  uint64_t total = 0;
+  for (const auto& [name, function] : report.per_function) {
+    total += function.records.size();
+  }
+  return total;
+}
+
 TEST(PlatformSimulationTest, RejectsDuplicateDeployments) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction,
-                              SimOptions{});
+  const SimOptions options;
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const ColdStartPolicy policy;
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), policy).ok());
-  EXPECT_EQ(platform.DeployFunction(Profile("MST"), policy).code(),
+  ASSERT_TRUE(Deploy(env, Profile("MST"), policy, eviction, options.seed).ok());
+  EXPECT_EQ(Deploy(env, Profile("MST"), policy, eviction, options.seed).code(),
             StatusCode::kAlreadyExists);
 }
 
 TEST(PlatformSimulationTest, RejectsUndeployedFunctionInTrace) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction,
-                              SimOptions{});
+  const SimOptions options;
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const ColdStartPolicy policy;
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), policy).ok());
+  ASSERT_TRUE(Deploy(env, Profile("MST"), policy, eviction, options.seed).ok());
   const InvocationTrace trace = MakeTrace();  // Also invokes DynamicHTML.
-  EXPECT_EQ(platform.Replay(trace).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(env.RunArrivals(trace).code(), StatusCode::kNotFound);
 }
 
 TEST(PlatformSimulationTest, ReplaysMultiFunctionTrace) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.seed = 3;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, Profile("MST"), *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, Profile("DynamicHTML"), *policy, eviction, options.seed).ok());
 
-  auto report = platform.Replay(MakeTrace());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->per_function.size(), 2u);
-  EXPECT_EQ(report->per_function.at("MST").records.size(), 6u);
-  EXPECT_EQ(report->per_function.at("DynamicHTML").records.size(), 6u);
-  EXPECT_EQ(report->GlobalLatencySummary().count(), 12u);
+  const Status replayed = env.RunArrivals(MakeTrace());
+  ASSERT_TRUE(replayed.ok()) << replayed.ToString();
+  const EnvironmentReport report = env.TakeReport();
+  ASSERT_EQ(report.per_function.size(), 2u);
+  EXPECT_EQ(report.per_function.at("MST").records.size(), 6u);
+  EXPECT_EQ(report.per_function.at("DynamicHTML").records.size(), 6u);
+  EXPECT_EQ(TotalRecords(report), 12u);
   // The 2-minute gap evicted both workers once.
-  EXPECT_EQ(report->per_function.at("MST").worker_lifetimes, 2u);
-  EXPECT_EQ(report->per_function.at("DynamicHTML").worker_lifetimes, 2u);
-  EXPECT_EQ(report->TotalLifetimes(), 4u);
+  EXPECT_EQ(report.per_function.at("MST").worker_lifetimes, 2u);
+  EXPECT_EQ(report.per_function.at("DynamicHTML").worker_lifetimes, 2u);
 }
 
 TEST(PlatformSimulationTest, FunctionsShareStoresButNotState) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.seed = 4;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, Profile("MST"), *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, Profile("DynamicHTML"), *policy, eviction, options.seed).ok());
 
-  auto report = platform.Replay(MakeTrace());
-  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(env.RunArrivals(MakeTrace()).ok());
 
-  auto mst_state = platform.LoadPolicyState("MST");
-  auto html_state = platform.LoadPolicyState("DynamicHTML");
+  auto mst_state = env.LoadPolicyState(*env.DeploymentIndex("MST"));
+  auto html_state = env.LoadPolicyState(*env.DeploymentIndex("DynamicHTML"));
   ASSERT_TRUE(mst_state.ok());
   ASSERT_TRUE(html_state.ok());
   // Each function learned its own latencies (they differ by ~5x scale).
@@ -107,62 +130,72 @@ TEST(PlatformSimulationTest, FunctionsShareStoresButNotState) {
   for (const PoolEntry& entry : mst_state->pool.entries()) {
     EXPECT_EQ(entry.metadata.function, "MST");
   }
-  EXPECT_EQ(platform.LoadPolicyState("Ghost").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(env.DeploymentIndex("Ghost").status().code(), StatusCode::kNotFound);
 }
 
 TEST(PlatformSimulationTest, StatePersistsAcrossReplays) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.seed = 5;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, Profile("MST"), *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, Profile("DynamicHTML"), *policy, eviction, options.seed).ok());
+  const size_t mst = *env.DeploymentIndex("MST");
 
-  ASSERT_TRUE(platform.Replay(MakeTrace()).ok());
-  auto first = platform.LoadPolicyState("MST");
+  ASSERT_TRUE(env.RunArrivals(MakeTrace()).ok());
+  auto first = env.LoadPolicyState(mst);
   ASSERT_TRUE(first.ok());
   const uint32_t explored_after_first = first->theta.ExploredCount();
 
-  ASSERT_TRUE(platform.Replay(MakeTrace()).ok());
-  auto second = platform.LoadPolicyState("MST");
+  ASSERT_TRUE(env.RunArrivals(MakeTrace()).ok());
+  auto second = env.LoadPolicyState(mst);
   ASSERT_TRUE(second.ok());
   EXPECT_GE(second->theta.ExploredCount(), explored_after_first);
 }
 
+SimReport MustRunPlatform(const OrchestrationPolicy& policy, const SimOptions& options,
+                          uint64_t requests) {
+  SimFunctionSpec specs[2];
+  const char* names[2] = {"MST", "DynamicHTML"};
+  for (size_t i = 0; i < 2; ++i) {
+    specs[i].name = names[i];
+    specs[i].profile = &Profile(names[i]);
+    specs[i].policy = &policy;
+    specs[i].requests = requests / 2;
+  }
+  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kPlatform, specs,
+                         options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return *std::move(report);
+}
+
 TEST(PlatformSimulationTest, FaultPlanProducesRecoveryStats) {
-  // Regression: the platform driver must actually wire its FaultPlan into the
-  // shared stores and surface FaultRecoveryStats in the report, like the
-  // single-function and fleet drivers do.
-  IdleTimeoutEviction eviction(Duration::Seconds(60));
+  // Regression: the platform topology must actually wire its FaultPlan into
+  // the shared stores and surface FaultRecoveryStats in the report, like the
+  // single-function and fleet topologies do.
   SimOptions options;
   options.seed = 9;
+  options.eviction.kind = FleetEvictionSpec::Kind::kIdleTimeout;
+  options.eviction.idle_timeout = Duration::Seconds(60);
   options.faults.get_failure_rate = 0.15;
   options.faults.put_failure_rate = 0.15;
   options.faults.seed = 77;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
 
-  auto report = platform.RunClosedLoop(400);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->GlobalLatencySummary().count(), 400u);
+  const SimReport report = MustRunPlatform(*policy, options, 400);
+  EXPECT_EQ(report.latency.count(), 400u);
   // With 15% store failure rates over hundreds of operations, the injected
   // faults must be visible in the platform-level recovery stats.
-  EXPECT_GT(report->faults.store_faults + report->faults.db_faults, 0u);
+  EXPECT_GT(report.faults.store_faults + report.faults.db_faults, 0u);
 
   // A fault-free run of the same platform reports zero injected faults.
-  SimOptions clean_options;
-  clean_options.seed = 9;
-  PlatformSimulation clean(WorkloadRegistry::Default(), eviction, clean_options);
-  ASSERT_TRUE(clean.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(clean.DeployFunction(Profile("DynamicHTML"), *policy).ok());
-  auto clean_report = clean.RunClosedLoop(400);
-  ASSERT_TRUE(clean_report.ok());
-  EXPECT_EQ(clean_report->faults.store_faults + clean_report->faults.db_faults, 0u);
+  SimOptions clean_options = options;
+  clean_options.faults = FaultPlan{};
+  const SimReport clean_report = MustRunPlatform(*policy, clean_options, 400);
+  EXPECT_EQ(clean_report.faults.store_faults + clean_report.faults.db_faults, 0u);
 }
 
 TEST(PlatformSimulationTest, GeneratedTraceEndToEnd) {
@@ -179,16 +212,17 @@ TEST(PlatformSimulationTest, GeneratedTraceEndToEnd) {
   AnyOfEviction eviction({&idle, &lifetime});
   SimOptions options;
   options.seed = 7;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("Thumbnailer"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, Profile("MST"), *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, Profile("Thumbnailer"), *policy, eviction, options.seed).ok());
 
-  auto report = platform.Replay(*trace);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->GlobalLatencySummary().count(), trace->size());
-  EXPECT_GT(report->object_store.put_count, 0u);  // Checkpoints were uploaded.
+  const Status replayed = env.RunArrivals(*trace);
+  ASSERT_TRUE(replayed.ok()) << replayed.ToString();
+  const EnvironmentReport report = env.TakeReport();
+  EXPECT_EQ(TotalRecords(report), trace->size());
+  EXPECT_GT(report.object_store.put_count, 0u);  // Checkpoints were uploaded.
 }
 
 }  // namespace

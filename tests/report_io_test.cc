@@ -5,7 +5,7 @@
 #include <filesystem>
 
 #include "src/core/baseline_policies.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -59,21 +59,29 @@ TEST(ReportIoTest, FileRoundTripFromSimulation) {
   const auto profile = WorkloadRegistry::Default().Find("Hash");
   ASSERT_TRUE(profile.ok());
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(**profile, WorkloadRegistry::Default(), policy, **eviction,
-                         SimOptions{});
-  auto report = sim.RunClosedLoop(40);
-  ASSERT_TRUE(report.ok());
+  SimOptions options;
+  options.worker_slots = 1;
+  options.exploring_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 4;
+  SimFunctionSpec spec;
+  spec.name = (*profile)->name;
+  spec.profile = *profile;
+  spec.policy = &policy;
+  spec.requests = 40;
+  auto simulated = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                            {&spec, 1}, options);
+  ASSERT_TRUE(simulated.ok());
+  const SimulationReport& report = simulated->flat();
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "pronghorn_report_test.csv").string();
-  ASSERT_TRUE(WriteRecordsCsv(*report, path).ok());
+  ASSERT_TRUE(WriteRecordsCsv(report, path).ok());
   auto loaded = ReadRecordsCsv(path);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 40u);
   for (size_t i = 0; i < 40; ++i) {
-    EXPECT_EQ((*loaded)[i].latency, report->records[i].latency) << i;
+    EXPECT_EQ((*loaded)[i].latency, report.records[i].latency) << i;
   }
   std::filesystem::remove(path);
 }

@@ -28,7 +28,6 @@
 
 #include "src/core/request_centric_policy.h"
 #include "src/jit/method_model.h"
-#include "src/platform/fleet_simulation.h"
 #include "src/platform/report_io.h"
 #include "src/platform/simulate.h"
 
@@ -76,11 +75,17 @@ FleetRunConfig WithThreads(uint32_t threads) {
   return config;
 }
 
-FleetSimulation MakeFleet(const OrchestrationPolicy& policy,
-                          const FleetRunConfig& config) {
+// ExperimentFingerprint of the FleetRunConfig{} experiment. Checkpoint
+// frames are keyed by it, so a change here strands every frame written
+// before it.
+constexpr uint64_t kDefaultFleetFingerprint = 0x4ec6232df41676faULL;
+
+SimOptions FleetOptions(const FleetRunConfig& config) {
   SimOptions options;
   options.seed = kSeed;
   options.threads = config.threads;
+  options.worker_slots = 3;
+  options.exploring_slots = 1;
   options.retention = config.retention;
   options.sim_checkpoint = config.checkpoint;
   options.service.enabled = config.service;
@@ -90,25 +95,37 @@ FleetSimulation MakeFleet(const OrchestrationPolicy& policy,
     options.faults.corruption_rate = 0.02;
     options.faults.seed = 7;
   }
-  FleetSimulation fleet(WorkloadRegistry::Default(), options);
+  return options;
+}
+
+std::vector<SimFunctionSpec> FleetSpecs(const OrchestrationPolicy& policy) {
   const auto evaluation = WorkloadRegistry::Default().EvaluationSet();
+  std::vector<SimFunctionSpec> specs;
   for (size_t i = 0; i < kFunctions; ++i) {
-    FleetFunctionSpec spec;
+    SimFunctionSpec spec;
     spec.name = "fn" + std::to_string(i) + "-" +
                 evaluation[i % evaluation.size()]->name;
     spec.profile = evaluation[i % evaluation.size()];
     spec.policy = &policy;
     spec.requests = kRequests;
-    spec.worker_slots = 3;
-    spec.exploring_slots = 1;
-    EXPECT_TRUE(fleet.AddFunction(std::move(spec)).ok());
+    specs.push_back(std::move(spec));
   }
-  return fleet;
+  return specs;
 }
 
-FleetReport MustRun(const OrchestrationPolicy& policy,
-                    const FleetRunConfig& config) {
-  auto report = MakeFleet(policy, config).Run();
+Result<SimReport> RunFleet(const OrchestrationPolicy& policy,
+                           const FleetRunConfig& config) {
+  return Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
+                  FleetSpecs(policy), FleetOptions(config));
+}
+
+uint64_t Fingerprint(const OrchestrationPolicy& policy, const FleetRunConfig& config) {
+  return ExperimentFingerprint(SimTopology::kFleet, FleetSpecs(policy),
+                               FleetOptions(config));
+}
+
+SimReport MustRun(const OrchestrationPolicy& policy, const FleetRunConfig& config) {
+  auto report = RunFleet(policy, config);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return *std::move(report);
 }
@@ -117,7 +134,7 @@ FleetReport MustRun(const OrchestrationPolicy& policy,
 // the first `completed` deployments (in the given order) — byte-equivalent
 // to the frame FleetCheckpointer would have written at that boundary.
 void WritePartialCheckpoint(const std::string& dir, uint64_t fingerprint,
-                            const FleetReport& full,
+                            const SimReport& full,
                             std::vector<size_t> fold_order, size_t completed,
                             RetentionOptions retention = RetentionOptions{}) {
   StreamingAccumulator accumulator(retention);
@@ -136,7 +153,7 @@ void WritePartialCheckpoint(const std::string& dir, uint64_t fingerprint,
 
 TEST(StreamingAccumulatorTest, DigestMatchesMaterializedInAnyFoldOrder) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport full = MustRun(policy, FleetRunConfig{});
+  const SimReport full = MustRun(policy, FleetRunConfig{});
   ASSERT_EQ(full.per_function.size(), kFunctions);
 
   std::vector<NamedReportRef> rows;
@@ -169,7 +186,7 @@ TEST(StreamingAccumulatorTest, DigestMatchesMaterializedInAnyFoldOrder) {
 
 TEST(StreamingAccumulatorTest, KeepAllRetainsEveryReportBitForBit) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport full = MustRun(policy, FleetRunConfig{});
+  const SimReport full = MustRun(policy, FleetRunConfig{});
   StreamingAccumulator accumulator{RetentionOptions{}};
   // Fold in reverse order; keep-all assembly must still be canonical.
   for (size_t i = full.per_function.size(); i-- > 0;) {
@@ -181,8 +198,8 @@ TEST(StreamingAccumulatorTest, KeepAllRetainsEveryReportBitForBit) {
   size_t index = 0;
   for (const auto& [name, report] : merged.retained) {
     EXPECT_EQ(name, full.per_function[index].function);
-    EXPECT_EQ(ClusterReportCrc32(report),
-              ClusterReportCrc32(full.per_function[index].report));
+    EXPECT_EQ(FlatReportCrc32(report),
+              FlatReportCrc32(full.per_function[index].report));
     ++index;
   }
   EXPECT_EQ(merged.digest, full.Digest());
@@ -190,7 +207,7 @@ TEST(StreamingAccumulatorTest, KeepAllRetainsEveryReportBitForBit) {
 
 TEST(StreamingAccumulatorTest, BoundedRetentionIsFoldOrderInsensitive) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport full = MustRun(policy, FleetRunConfig{});
+  const SimReport full = MustRun(policy, FleetRunConfig{});
   for (const RetentionOptions retention :
        {RetentionOptions{ReportRetention::kTopLatency, 3, 1},
         RetentionOptions{ReportRetention::kReservoir, 3, 5}}) {
@@ -227,12 +244,12 @@ TEST(StreamingAccumulatorTest, BoundedRetentionIsFoldOrderInsensitive) {
 
 TEST(FleetRetentionTest, BoundedModesReportTheKeepAllDigest) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport keep_all = MustRun(policy, FleetRunConfig{});
+  const SimReport keep_all = MustRun(policy, FleetRunConfig{});
 
   FleetRunConfig bounded;
   bounded.threads = 4;
   bounded.retention = RetentionOptions{ReportRetention::kTopLatency, 2, 1};
-  const FleetReport top = MustRun(policy, bounded);
+  const SimReport top = MustRun(policy, bounded);
   EXPECT_EQ(top.Digest(), keep_all.Digest());
   EXPECT_EQ(top.retention, ReportRetention::kTopLatency);
   EXPECT_LE(top.per_function.size(), 2u);
@@ -252,7 +269,7 @@ TEST(FleetRetentionTest, BoundedModesReportTheKeepAllDigest) {
   }
 
   bounded.retention = RetentionOptions{ReportRetention::kReservoir, 3, 9};
-  const FleetReport reservoir = MustRun(policy, bounded);
+  const SimReport reservoir = MustRun(policy, bounded);
   EXPECT_EQ(reservoir.Digest(), keep_all.Digest());
   EXPECT_LE(reservoir.per_function.size(), 3u);
   // Exact-merge histogram agrees between modes (it is complete in both).
@@ -266,8 +283,8 @@ TEST(SimCheckpointTest, ResumedFleetReproducesUninterruptedDigest) {
   const RequestCentricPolicy policy = MakePolicy();
   for (const uint32_t threads : {1u, 2u, 8u}) {
     const FleetRunConfig base = WithThreads(threads);
-    const FleetReport full = MustRun(policy, base);
-    const uint64_t fingerprint = MakeFleet(policy, base).Fingerprint();
+    const SimReport full = MustRun(policy, base);
+    const uint64_t fingerprint = Fingerprint(policy, base);
 
     // Kill at every checkpoint boundary 0..kFunctions and resume.
     std::vector<size_t> fold_order(kFunctions);
@@ -282,7 +299,7 @@ TEST(SimCheckpointTest, ResumedFleetReproducesUninterruptedDigest) {
       FleetRunConfig resumed_config = base;
       resumed_config.checkpoint.dir = dir;
       resumed_config.checkpoint.resume = true;
-      const FleetReport resumed = MustRun(policy, resumed_config);
+      const SimReport resumed = MustRun(policy, resumed_config);
       EXPECT_EQ(resumed.Digest(), full.Digest())
           << "threads=" << threads << " completed=" << completed;
       EXPECT_EQ(resumed.per_function.size(), full.per_function.size());
@@ -299,8 +316,8 @@ TEST(SimCheckpointTest, ResumeEquivalenceHoldsWithServiceAndChaos) {
       base.threads = 4;
       base.service = service;
       base.chaos = chaos;
-      const FleetReport full = MustRun(policy, base);
-      const uint64_t fingerprint = MakeFleet(policy, base).Fingerprint();
+      const SimReport full = MustRun(policy, base);
+      const uint64_t fingerprint = Fingerprint(policy, base);
 
       const std::string dir = FreshDir(std::string("svc_") +
                                        (service ? "on" : "off") +
@@ -314,7 +331,7 @@ TEST(SimCheckpointTest, ResumeEquivalenceHoldsWithServiceAndChaos) {
       FleetRunConfig resumed_config = base;
       resumed_config.checkpoint.dir = dir;
       resumed_config.checkpoint.resume = true;
-      const FleetReport resumed = MustRun(policy, resumed_config);
+      const SimReport resumed = MustRun(policy, resumed_config);
       EXPECT_EQ(resumed.Digest(), full.Digest())
           << "service=" << service << " chaos=" << chaos;
       std::filesystem::remove_all(dir);
@@ -331,13 +348,13 @@ TEST(SimCheckpointTest, CheckpointingRunWritesResumableFinalFrame) {
   config.threads = 2;
   config.checkpoint.dir = dir;
   config.checkpoint.every = 2;
-  const FleetReport checkpointed = MustRun(policy, config);
-  const FleetReport plain = MustRun(policy, WithThreads(2));
+  const SimReport checkpointed = MustRun(policy, config);
+  const SimReport plain = MustRun(policy, WithThreads(2));
   EXPECT_EQ(checkpointed.Digest(), plain.Digest());
   ASSERT_TRUE(std::filesystem::exists(FleetCheckpointer::FilePath(dir)));
 
   config.checkpoint.resume = true;
-  const FleetReport resumed = MustRun(policy, config);
+  const SimReport resumed = MustRun(policy, config);
   EXPECT_EQ(resumed.Digest(), plain.Digest());
   std::filesystem::remove_all(dir);
 }
@@ -394,7 +411,7 @@ TEST(SimCheckpointTest, CorruptCheckpointFailsLoudly) {
     file.put(static_cast<char>(0x5a));
   }
   config.checkpoint.resume = true;
-  auto resumed = MakeFleet(policy, config).Run();
+  auto resumed = RunFleet(policy, config);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss);
   std::filesystem::remove_all(dir);
@@ -427,33 +444,33 @@ TEST(SimCheckpointTest, MissingCheckpointIsNotFound) {
 
 TEST(SimCheckpointTest, FingerprintPinsExperimentParameters) {
   const RequestCentricPolicy policy = MakePolicy();
-  const uint64_t base = MakeFleet(policy, FleetRunConfig{}).Fingerprint();
-  EXPECT_EQ(base, MakeFleet(policy, FleetRunConfig{}).Fingerprint());
+  const uint64_t base = Fingerprint(policy, FleetRunConfig{});
+  EXPECT_EQ(base, kDefaultFleetFingerprint);
   // Thread count is NOT part of the identity (digests are thread-invariant)…
-  EXPECT_EQ(base, MakeFleet(policy, WithThreads(8)).Fingerprint());
+  EXPECT_EQ(base, Fingerprint(policy, WithThreads(8)));
   // …but chaos and retention are (they change what the run means).
   FleetRunConfig chaos;
   chaos.chaos = true;
-  EXPECT_NE(base, MakeFleet(policy, chaos).Fingerprint());
+  EXPECT_NE(base, Fingerprint(policy, chaos));
   FleetRunConfig bounded;
   bounded.retention = RetentionOptions{ReportRetention::kTopLatency, 2, 1};
-  EXPECT_NE(base, MakeFleet(policy, bounded).Fingerprint());
+  EXPECT_NE(base, Fingerprint(policy, bounded));
 }
 
 // --- 4. Serializer round trips ----------------------------------------------
 
-TEST(ReportSerializationTest, ClusterReportRoundTripsByteIdentically) {
+TEST(ReportSerializationTest, FlatReportRoundTripsByteIdentically) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport full = MustRun(policy, FleetRunConfig{});
+  const SimReport full = MustRun(policy, FleetRunConfig{});
   for (const auto& [name, report] : full.per_function) {
     ByteWriter writer;
-    SerializeClusterReport(report, writer);
+    SerializeFlatReport(report, writer);
     ByteReader reader(writer.data());
-    auto restored = DeserializeClusterReport(reader);
+    auto restored = DeserializeFlatReport(reader);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_TRUE(reader.AtEnd());
     ByteWriter rewritten;
-    SerializeClusterReport(*restored, rewritten);
+    SerializeFlatReport(*restored, rewritten);
     EXPECT_EQ(writer.data(), rewritten.data()) << name;
   }
 }
@@ -462,7 +479,7 @@ TEST(ReportSerializationTest, ReportCoreRoundTripsByteIdentically) {
   const RequestCentricPolicy policy = MakePolicy();
   FleetRunConfig config;
   config.chaos = true;  // Nonzero fault counters exercise every field.
-  const FleetReport full = MustRun(policy, config);
+  const SimReport full = MustRun(policy, config);
   ByteWriter writer;
   SerializeReportCore(full, writer);
   ByteReader reader(writer.data());
@@ -495,7 +512,7 @@ TEST(ReportSerializationTest, LatencyHistogramRoundTrips) {
 
 TEST(ReportSerializationTest, AccumulatorStateRoundTripsAcrossRetentions) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport full = MustRun(policy, FleetRunConfig{});
+  const SimReport full = MustRun(policy, FleetRunConfig{});
   for (const RetentionOptions retention :
        {RetentionOptions{},
         RetentionOptions{ReportRetention::kTopLatency, 2, 1},

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/request_centric_policy.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/sim_environment.h"
 
 namespace pronghorn {
 namespace {
@@ -37,18 +37,22 @@ TEST_P(SimulationInvariants, HoldAcrossTheRun) {
   ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.seed = scenario.seed;
-  FunctionSimulation sim(**profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(env.AddDeployment((*profile)->name, **profile, *policy, **eviction,
+                                /*worker_slots=*/1, /*exploring_slots=*/1,
+                                options.seed)
+                  .ok());
   constexpr uint64_t kRequests = 260;
-  auto report = sim.RunClosedLoop(kRequests);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const Status ran = env.RunClosedLoop(kRequests);
+  ASSERT_TRUE(ran.ok()) << ran.ToString();
+  const SimulationReport report = env.TakeFlatReport();
 
   // --- Record-stream invariants -----------------------------------------
-  ASSERT_EQ(report->records.size(), kRequests);
+  ASSERT_EQ(report.records.size(), kRequests);
   uint64_t lifetimes_seen = 0;
   uint64_t previous_maturity = 0;
-  for (size_t i = 0; i < report->records.size(); ++i) {
-    const RequestRecord& record = report->records[i];
+  for (size_t i = 0; i < report.records.size(); ++i) {
+    const RequestRecord& record = report.records[i];
     EXPECT_EQ(record.global_index, i);
     EXPECT_GT(record.latency, Duration::Zero());
     EXPECT_GE(record.request_number, 1u);
@@ -66,29 +70,29 @@ TEST_P(SimulationInvariants, HoldAcrossTheRun) {
   }
 
   // --- Counter invariants -------------------------------------------------
-  EXPECT_EQ(report->worker_lifetimes, lifetimes_seen);
-  EXPECT_EQ(report->worker_lifetimes, report->cold_starts + report->restores);
-  EXPECT_EQ(report->worker_lifetimes,
+  EXPECT_EQ(report.worker_lifetimes, lifetimes_seen);
+  EXPECT_EQ(report.worker_lifetimes, report.cold_starts + report.restores);
+  EXPECT_EQ(report.worker_lifetimes,
             (kRequests + scenario.eviction_k - 1) / scenario.eviction_k);
   // Algorithm 1 plans at most one checkpoint per worker lifetime.
-  EXPECT_LE(report->checkpoints, report->worker_lifetimes);
-  EXPECT_EQ(report->checkpoints, sim.engine().checkpoints_taken());
-  EXPECT_EQ(report->restores, sim.engine().restores_performed());
-  EXPECT_EQ(report->overheads.requests_served, kRequests);
+  EXPECT_LE(report.checkpoints, report.worker_lifetimes);
+  EXPECT_EQ(report.checkpoints, env.engine(0).checkpoints_taken());
+  EXPECT_EQ(report.restores, env.engine(0).restores_performed());
+  EXPECT_EQ(report.overheads.requests_served, kRequests);
 
   // --- Learned-state invariants -------------------------------------------
-  auto state = sim.LoadPolicyState();
+  auto state = env.LoadPolicyState(0);
   ASSERT_TRUE(state.ok());
   EXPECT_LE(state->pool.size(), scenario.pool_capacity);
   for (const PoolEntry& entry : state->pool.entries()) {
     // W bounds every checkpoint's request number (Table 2).
     EXPECT_LE(entry.metadata.request_number, scenario.w);
     EXPECT_GE(entry.metadata.request_number, 1u);
-    EXPECT_TRUE(sim.object_store().Contains(entry.object_key))
+    EXPECT_TRUE(env.raw_object_store().Contains(entry.object_key))
         << entry.object_key;
   }
   // Every stored snapshot object is reachable from the pool (no leaks).
-  EXPECT_EQ(sim.object_store().ListKeys("snapshots/").size(), state->pool.size());
+  EXPECT_EQ(env.raw_object_store().ListKeys("snapshots/").size(), state->pool.size());
   // theta only holds values at indices the run could have produced.
   for (uint64_t i = 0; i < state->theta.length(); ++i) {
     EXPECT_GE(state->theta.At(i), 0.0);

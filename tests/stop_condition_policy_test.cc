@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/request_centric_policy.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/sim_environment.h"
 
 namespace pronghorn {
 namespace {
@@ -115,20 +115,23 @@ TEST(StopConditionPolicyTest, EndToEndCheckpointingCeases) {
   ASSERT_TRUE(eviction.ok());
   SimOptions options;
   options.seed = 12;
-  FunctionSimulation sim(**profile, WorkloadRegistry::Default(), policy, **eviction,
-                         options);
-  auto explore_phase = sim.RunClosedLoop(200);
-  ASSERT_TRUE(explore_phase.ok());
-  EXPECT_GT(explore_phase->checkpoints, 0u);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(env.AddDeployment((*profile)->name, **profile, policy, **eviction,
+                                /*worker_slots=*/1, /*exploring_slots=*/1,
+                                options.seed)
+                  .ok());
+  ASSERT_TRUE(env.RunClosedLoop(200).ok());
+  const SimulationReport explore_phase = env.TakeFlatReport();
+  EXPECT_GT(explore_phase.checkpoints, 0u);
 
-  auto frozen_phase = sim.RunClosedLoop(200);
-  ASSERT_TRUE(frozen_phase.ok());
-  EXPECT_EQ(frozen_phase->checkpoints, 0u);
+  ASSERT_TRUE(env.RunClosedLoop(200).ok());
+  const SimulationReport frozen_phase = env.TakeFlatReport();
+  EXPECT_EQ(frozen_phase.checkpoints, 0u);
   // Performance persists: the frozen phase keeps (within noise) the hot-start
   // latency the exploration phase achieved.
-  EXPECT_LT(frozen_phase->MedianLatencyUs(), explore_phase->MedianLatencyUs() * 1.1);
+  EXPECT_LT(frozen_phase.MedianLatencyUs(), explore_phase.MedianLatencyUs() * 1.1);
   // And network upload traffic has ceased (only restore downloads remain).
-  EXPECT_EQ(frozen_phase->object_store.put_count, explore_phase->object_store.put_count);
+  EXPECT_EQ(frozen_phase.object_store.put_count, explore_phase.object_store.put_count);
 }
 
 }  // namespace

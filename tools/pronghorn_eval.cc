@@ -93,9 +93,8 @@ int main(int argc, char** argv) {
                {"cold", &cold},
                {"after-first", &after_first},
                {"request-centric", &*request_centric}}) {
-        // The unified entry point in its single-function configuration (one
-        // worker slot, sub-seed = options.seed) replays the historical
-        // FunctionSimulation bit-for-bit.
+        // Simulate(kSingle) with one worker slot and sub-seed = options.seed:
+        // the paper's single-function measurement setup.
         SimOptions options;
         options.seed = seed_base + k;
         options.worker_slots = 1;

@@ -868,7 +868,7 @@ int RunSingle(const FlagParser& flags, const CommonSimOptions& common,
   options.store = common.store;
   options.service = common.service;
   options.sim_checkpoint = common.sim_checkpoint;
-  // Historical FunctionSimulation topology: one worker slot.
+  // The paper's single-function setup: one worker slot.
   options.worker_slots = 1;
   options.exploring_slots = 1;
   options.eviction = *eviction;

@@ -1,7 +1,7 @@
 // pronghorn_trace: synthetic Azure-style trace generator.
 //
 // Emits an invocation trace CSV consumable by the replay pipeline
-// (examples/trace_replay, PlatformSimulation, FunctionSimulation::RunTrace).
+// (examples/trace_replay, SimEnvironment::RunArrivals).
 //
 //   pronghorn_trace --functions MST:85,Thumbnailer:75,HTMLRendering:65 \
 //                   --window-s 900 --windows 4 --seed 7 --out trace.csv

@@ -169,6 +169,27 @@ void BM_PolicyOnRequestCompleteNoCache(benchmark::State& bench_state) {
 }
 BENCHMARK(BM_PolicyOnRequestCompleteNoCache);
 
+// The hot start's state read (paper §3.2 step 4): a warm, cache-hit Load
+// probes the Database version and shares the cached state, copying nothing.
+void BM_PolicyStateLoad(benchmark::State& bench_state) {
+  const WorkloadProfile& profile = MustFind("DynamicHTML");
+  const PolicyConfig config = PaperConfig(profile, 20);
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "bench", config);
+  const PolicyState populated = PopulatedState(config, 12);
+  if (!store.Update([&](PolicyState& s) { s = populated; }).ok()) {
+    std::abort();
+  }
+  for (auto _ : bench_state) {
+    auto loaded = store.Load();
+    benchmark::DoNotOptimize(loaded);
+  }
+  if (store.cache_stats().misses != 0) {
+    std::abort();  // The row must measure the warm path.
+  }
+}
+BENCHMARK(BM_PolicyStateLoad);
+
 // The raw in-memory EWMA blend alone (the pre-store cost the old
 // BM_PolicyOnRequestComplete measured); already O(1).
 void BM_ThetaUpdate(benchmark::State& bench_state) {

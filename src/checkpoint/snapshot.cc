@@ -66,8 +66,4 @@ Result<SnapshotImage> SnapshotImage::Decode(std::span<const uint8_t> bytes) {
   return SnapshotImage(std::move(metadata), std::move(payload));
 }
 
-std::string SnapshotImage::ObjectKey() const {
-  return "snapshots/" + metadata_.function + "/" + std::to_string(metadata_.id.value);
-}
-
 }  // namespace pronghorn

@@ -57,9 +57,6 @@ class SnapshotImage {
   // magic, unsupported version, truncation, or CRC mismatch.
   static Result<SnapshotImage> Decode(std::span<const uint8_t> bytes);
 
-  // Canonical object-store key for this snapshot.
-  std::string ObjectKey() const;
-
  private:
   SnapshotMetadata metadata_;
   std::vector<uint8_t> payload_;

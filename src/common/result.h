@@ -46,13 +46,34 @@ class Result {
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
   T&& operator*() && { return std::move(*this).value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
+  // For a pointer-like T (a smart pointer), `result->member` reaches the
+  // pointee, as `(*result)->member` does; otherwise it names T's member.
+  decltype(auto) operator->() const {
+    if constexpr (kPointerLike) {
+      return (value());
+    } else {
+      return &value();
+    }
+  }
+  decltype(auto) operator->() {
+    if constexpr (kPointerLike) {
+      return (value());
+    } else {
+      return &value();
+    }
+  }
 
   // Returns the value, or `fallback` if this Result holds an error.
   T value_or(T fallback) const& { return ok() ? *value_ : std::move(fallback); }
 
  private:
+  // Smart pointers (std::unique_ptr, std::shared_ptr), not std::optional.
+  static constexpr bool kPointerLike = requires(const T& t) {
+    typename T::element_type;
+    t.get();
+    t.operator->();
+  };
+
   std::optional<T> value_;
   Status status_;  // OK iff value_ holds a value.
 };

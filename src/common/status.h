@@ -8,8 +8,10 @@
 #ifndef PRONGHORN_SRC_COMMON_STATUS_H_
 #define PRONGHORN_SRC_COMMON_STATUS_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace pronghorn {
 
@@ -33,36 +35,61 @@ enum class StatusCode : int {
 // Human-readable name for a code ("kOk" -> "OK").
 std::string_view StatusCodeName(StatusCode code);
 
-// Value type carrying a code plus an optional message. Ok statuses are cheap
-// (no allocation); error statuses carry a descriptive message.
+// Value type carrying a code plus an optional message. One word of payload:
+// the message lives behind a pointer that is null when the status is OK or
+// carries no text, so building, moving and destroying an OK status (every
+// successful Result<T>) touches no string. Copying deep-copies the message;
+// moving moves the pointer, leaving the source with its code and no message.
 class Status {
  public:
   // Constructs an OK status.
   Status() = default;
 
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty() ? nullptr
+                                 : std::make_unique<std::string>(std::move(message))) {}
+
+  Status(const Status& other)
+      : code_(other.code_),
+        message_(other.message_ == nullptr
+                     ? nullptr
+                     : std::make_unique<std::string>(*other.message_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      *this = Status(other);
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
+  ~Status() = default;
 
   static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  // The message, or a static empty string when there is none.
+  const std::string& message() const {
+    return message_ == nullptr ? EmptyMessage() : *message_;
+  }
 
   // "OK" or "INVALID_ARGUMENT: <message>".
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code_ == other.code_ && message() == other.message();
   }
 
  private:
+  static const std::string& EmptyMessage();
+
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::unique_ptr<std::string> message_;
 };
 
 // Convenience constructors, mirroring absl::InvalidArgumentError etc.
-Status OkStatus();
+inline Status OkStatus() { return Status(); }
 Status InvalidArgumentError(std::string message);
 Status NotFoundError(std::string message);
 Status AlreadyExistsError(std::string message);

@@ -163,7 +163,11 @@ Result<WorkerSession> Orchestrator::StartWorker() {
     }
     return loaded.status();
   }
-  PolicyState state = *std::move(loaded);
+  // Hold the snapshot for the whole decision: the pool entries (and their
+  // object keys) stay valid even when a failed restore updates the store,
+  // because Update copies a state that a snapshot still holds.
+  const std::shared_ptr<const PolicyState> snapshot = *std::move(loaded);
+  const PolicyState& state = *snapshot;
   const StartDecision decision = policy_.OnWorkerStart(state, rng_);
 
   const Duration decision_overhead =
@@ -186,7 +190,7 @@ Result<WorkerSession> Orchestrator::StartWorker() {
     if (!entry.ok()) {
       continue;
     }
-    const std::string key = (*entry)->object_key;
+    const std::string& key = (*entry)->object_key;
     auto blob = FetchWithRetry(key);
     if (!blob.ok()) {
       if (blob.status().code() == StatusCode::kNotFound) {
@@ -305,8 +309,9 @@ Status Orchestrator::CommitObservations(RequestOutcome& outcome) {
     const auto current = state_store_.Load();
     if (current.ok()) {
       uint64_t mark = 0;
-      if (const auto it = current->commit_marks.find(commit_scope_);
-          it != current->commit_marks.end()) {
+      const PolicyState& state = **current;
+      if (const auto it = state.commit_marks.find(commit_scope_);
+          it != state.commit_marks.end()) {
         mark = it->second;
       }
       const size_t before = pending_observations_.size();
@@ -372,9 +377,10 @@ Status Orchestrator::ReplayJournaled(std::span<const JournaledObservation> recor
 }
 
 Result<uint64_t> Orchestrator::CommittedHighWater() const {
-  PRONGHORN_ASSIGN_OR_RETURN(const PolicyState state, state_store_.Load());
-  const auto it = state.commit_marks.find(commit_scope_);
-  return it == state.commit_marks.end() ? 0 : it->second;
+  PRONGHORN_ASSIGN_OR_RETURN(const std::shared_ptr<const PolicyState> state,
+                             state_store_.Load());
+  const auto it = state->commit_marks.find(commit_scope_);
+  return it == state->commit_marks.end() ? 0 : it->second;
 }
 
 Status Orchestrator::MaybeCheckpoint(WorkerSession& session, RequestOutcome& outcome) {
@@ -475,13 +481,14 @@ Result<Duration> Orchestrator::TakeCheckpoint(WorkerSession& session,
 }
 
 Result<uint64_t> Orchestrator::CollectOrphanedObjects() {
-  PRONGHORN_ASSIGN_OR_RETURN(PolicyState state, state_store_.Load());
+  PRONGHORN_ASSIGN_OR_RETURN(const std::shared_ptr<const PolicyState> state,
+                             state_store_.Load());
   const std::string prefix = "snapshots/" + state_store_.function() + "/";
   const std::vector<std::string> keys = snapshot_store_.ListSnapshots(prefix);
   uint64_t collected = 0;
   for (const std::string& key : keys) {
     bool referenced = false;
-    for (const PoolEntry& entry : state.pool.entries()) {
+    for (const PoolEntry& entry : state->pool.entries()) {
       if (entry.object_key == key) {
         referenced = true;
         break;

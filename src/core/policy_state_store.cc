@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/bytes.h"
 #include "src/common/logging.h"
@@ -108,22 +109,14 @@ PolicyStateStore::PolicyStateStore(KvDatabase& db, std::string function,
       jitter_rng_(HashCombine(0xbac0ffULL, StableNameHash(function_))) {}
 
 void PolicyStateStore::InvalidateCache() const {
-  if (cached_state_.has_value()) {
+  if (cached_state_ != nullptr) {
     cache_stats_.invalidations += 1;
     cached_state_.reset();
   }
 }
 
-void PolicyStateStore::RememberState(const PolicyState& state, uint64_t version) const {
-  if (!cache_enabled_) {
-    return;
-  }
-  cached_state_ = state;
-  cached_version_ = version;
-}
-
 Result<VersionedValue> PolicyStateStore::ReadState() const {
-  if (cached_state_.has_value()) {
+  if (cached_state_ != nullptr) {
     // Only the version matters when it matches the cached state's: skip
     // copying the blob.
     return db_.GetVersionedIfChanged(StateKey(), cached_version_);
@@ -144,7 +137,7 @@ void PolicyStateStore::Backoff(int retry_index) const {
   }
 }
 
-Result<PolicyState> PolicyStateStore::Load() const {
+Result<std::shared_ptr<const PolicyState>> PolicyStateStore::Load() const {
   // A versioned read instead of Get so the blob's version can key the
   // decoded cache; every read path shares one fault draw and one accounting
   // bump, so this is trajectory-neutral.
@@ -152,26 +145,28 @@ Result<PolicyState> PolicyStateStore::Load() const {
   for (int attempt = 0;; ++attempt) {
     auto versioned = ReadState();
     if (versioned.ok()) {
-      if (cached_state_.has_value() && cached_version_ == versioned->version) {
+      if (cached_state_ != nullptr && cached_version_ == versioned->version) {
         cache_stats_.hits += 1;
-        return *cached_state_;
+        return std::shared_ptr<const PolicyState>(cached_state_);
       }
       auto decoded = DecodePolicyState(versioned->value);
       if (!decoded.ok()) {
         InvalidateCache();
         return decoded.status();
       }
+      auto state = std::make_shared<PolicyState>(*std::move(decoded));
       if (cache_enabled_) {
         cache_stats_.misses += 1;
-        RememberState(*decoded, versioned->version);
+        cached_state_ = state;
+        cached_version_ = versioned->version;
       }
-      return decoded;
+      return std::shared_ptr<const PolicyState>(std::move(state));
     }
     if (versioned.status().code() == StatusCode::kNotFound) {
       // A fresh function has no blob; a (hypothetical) deleted-and-recreated
       // key would restart its version sequence, so drop any stale cache.
       InvalidateCache();
-      return PolicyState(config_);
+      return std::shared_ptr<const PolicyState>(std::make_shared<PolicyState>(config_));
     }
     if (versioned.status().code() != StatusCode::kUnavailable ||
         attempt >= retry_.max_transient_retries) {
@@ -186,24 +181,28 @@ Result<PolicyState> PolicyStateStore::Load() const {
   }
 }
 
-Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate) {
+Status PolicyStateStore::Update(FunctionRef<void(PolicyState&)> mutate) {
   stats_.updates += 1;
   int transient_failures = 0;
   int conflicts = 0;
   for (int attempt = 0; attempt < retry_.max_cas_attempts; ++attempt) {
     uint64_t version = 0;
-    std::optional<PolicyState> state;
+    std::shared_ptr<PolicyState> state;
     auto versioned = ReadState();
     if (versioned.ok()) {
       version = versioned->version;
-      if (cached_state_.has_value() && cached_version_ == version) {
+      if (cached_state_ != nullptr && cached_version_ == version) {
         // Cache hit: the blob at this version is the one we decoded (or
-        // wrote) last time, so skip DecodePolicyState. Move the state out —
+        // wrote) last time, so skip DecodePolicyState. Take the state out —
         // the CAS below either re-installs the mutated successor or
-        // invalidates, so the pristine copy is never needed again.
+        // invalidates, so the pristine state is never needed again. It is
+        // mutated in place unless a Load snapshot still holds it; then the
+        // snapshot keeps the pristine state and this update works on a copy.
         cache_stats_.hits += 1;
-        state = std::move(cached_state_);
-        cached_state_.reset();
+        state = std::exchange(cached_state_, nullptr);
+        if (state.use_count() > 1) {
+          state = std::make_shared<PolicyState>(std::as_const(*state));
+        }
       } else {
         auto decoded = DecodePolicyState(versioned->value);
         if (!decoded.ok()) {
@@ -213,7 +212,7 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
         if (cache_enabled_) {
           cache_stats_.misses += 1;
         }
-        state.emplace(*std::move(decoded));
+        state = std::make_shared<PolicyState>(*std::move(decoded));
       }
     } else if (versioned.status().code() == StatusCode::kUnavailable) {
       if (++transient_failures > retry_.max_transient_retries) {
@@ -227,7 +226,7 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
       return versioned.status();
     } else {
       InvalidateCache();  // Fresh key: any cached version tag is meaningless.
-      state.emplace(config_);
+      state = std::make_shared<PolicyState>(config_);
     }
 
     mutate(*state);

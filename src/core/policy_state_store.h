@@ -15,11 +15,11 @@
 #ifndef PRONGHORN_SRC_CORE_POLICY_STATE_STORE_H_
 #define PRONGHORN_SRC_CORE_POLICY_STATE_STORE_H_
 
-#include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 
 #include "src/common/clock.h"
+#include "src/common/function_ref.h"
 #include "src/common/rng.h"
 #include "src/core/policy.h"
 #include "src/store/kv_database.h"
@@ -83,13 +83,16 @@ class PolicyStateStore {
                    bool enable_cache = true);
 
   // Loads the current state; a function never seen before gets a fresh
-  // zero-initialized state.
-  Result<PolicyState> Load() const;
+  // zero-initialized state. The result is an immutable snapshot: on a cache
+  // hit it shares the cached state (no copy), and a later Update never
+  // changes it — Update copies the state first while a snapshot is held.
+  Result<std::shared_ptr<const PolicyState>> Load() const;
 
   // Applies `mutate` atomically via a CAS retry loop. The mutator may be
   // invoked multiple times (on conflict it re-runs against the fresh state),
-  // so it must be idempotent with respect to external effects.
-  Status Update(const std::function<void(PolicyState&)>& mutate);
+  // so it must be idempotent with respect to external effects. `mutate` is
+  // borrowed for the call only; passing a lambda allocates nothing.
+  Status Update(FunctionRef<void(PolicyState&)> mutate);
 
   // Allocates a globally unique snapshot id from the Database sequence.
   Result<SnapshotId> AllocateSnapshotId();
@@ -109,11 +112,9 @@ class PolicyStateStore {
   // accounts it. Safe without a clock (still counts, no time passes).
   void Backoff(int retry_index) const;
 
-  // Cache maintenance. Invalidate drops the cached state (CAS failure,
-  // injected fault, decode error); Remember installs a fresh (state,
-  // version) pair. Both are no-ops with the cache disabled.
+  // Drops the cached state (CAS failure, injected fault, decode error). A
+  // no-op with the cache disabled.
   void InvalidateCache() const;
-  void RememberState(const PolicyState& state, uint64_t version) const;
 
   // Reads the state blob. With a cached state this is the copy-free probe:
   // on a version match the value comes back empty.
@@ -132,8 +133,10 @@ class PolicyStateStore {
 
   // Last decoded state and the DB version it decodes from. Decode(Encode(s))
   // reproduces s exactly (doubles travel as bit patterns), so serving the
-  // cached copy is indistinguishable from re-decoding the stored blob.
-  mutable std::optional<PolicyState> cached_state_;
+  // cached state is indistinguishable from re-decoding the stored blob.
+  // Shared with the snapshots Load hands out; Update mutates it in place only
+  // while no snapshot holds it (copy-on-write).
+  mutable std::shared_ptr<PolicyState> cached_state_;
   mutable uint64_t cached_version_ = 0;
   mutable StateCacheStats cache_stats_;
 };

@@ -4,23 +4,16 @@
 #include <numeric>
 #include <span>
 
-#include "src/common/arena.h"
 #include "src/common/mathutil.h"
+#include "src/common/small_vector.h"
 
 namespace pronghorn {
 
 namespace {
 
-// Per-thread decision scratch. One policy instance is shared across every
-// shard thread (it holds no per-call state), and each worker slot's decision
-// runs on exactly one thread, so a thread-local bump arena gives every slot
-// private scratch without locks. Reset() at the top of each decision rewinds
-// the cursor; after the first decision warms the retained block, the steady
-// state performs zero heap allocations (tests/alloc_hook_test.cc).
-Arena& DecisionArena() {
-  thread_local Arena arena(4 * 1024);
-  return arena;
-}
+// Inline capacity of the decision scratch: the paper's pool (C = 12) plus
+// one in flight, as for StartDecision::CandidateList.
+constexpr size_t kInlineScratch = 16;
 
 }  // namespace
 
@@ -78,26 +71,31 @@ StartDecision RequestCentricPolicy::OnWorkerStart(const PolicyState& state,
     // image). Ranking consumes no randomness, so fault-free trajectories are
     // identical to a policy without fallback candidates.
     //
-    // All scratch lives in the per-thread arena as parallel (SoA) arrays —
-    // weights, probabilities, ids, sort order — so the whole decision is
-    // allocation-free and the scoring scans run over contiguous doubles.
-    Arena& arena = DecisionArena();
-    arena.Reset();
+    // All scratch lives on the stack as parallel (SoA) arrays — weights,
+    // probabilities, ids, sort order — so the scoring scans run over
+    // contiguous doubles and a decision over a pool of up to kInlineScratch
+    // entries is allocation-free. A larger pool spills to the heap for that
+    // decision only; nothing outlives the call, so no thread keeps a scratch
+    // block pinned in the heap between decisions.
     const auto entries = state.pool.entries();
     const size_t count = entries.size();
-    const std::span<double> weights = arena.AllocateSpan<double>(count);
+    SmallVector<double, kInlineScratch> weights;
+    SmallVector<double, kInlineScratch> probabilities;
+    SmallVector<uint64_t, kInlineScratch> ids;
+    SmallVector<size_t, kInlineScratch> order;
+    weights.resize(count);
+    probabilities.resize(count);
+    ids.resize(count);
+    order.resize(count);
     for (size_t i = 0; i < count; ++i) {
       weights[i] = state.theta.LifetimeWeight(entries[i].metadata.request_number,
                                               config_.beta, config_.mu);
     }
-    const std::span<double> probabilities = arena.AllocateSpan<double>(count);
     SoftmaxInto(weights, config_.softmax_temperature, probabilities);
     const size_t first_index = rng.WeightedIndex(probabilities);
-    const std::span<uint64_t> ids = arena.AllocateSpan<uint64_t>(count);
     for (size_t i = 0; i < count; ++i) {
       ids[i] = entries[i].metadata.id.value;
     }
-    const std::span<size_t> order = arena.AllocateSpan<size_t>(count);
     std::iota(order.begin(), order.end(), size_t{0});
     // The drawn snapshot always ranks first; the rest sort by probability
     // (descending, ties by recency). Swapping it to the front and sorting

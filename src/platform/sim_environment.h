@@ -160,7 +160,7 @@ class SimEnvironment {
   Orchestrator& orchestrator(size_t deployment, size_t slot) {
     return deployments_[deployment].slots[slot].orchestrator();
   }
-  Result<PolicyState> LoadPolicyState(size_t deployment) const {
+  Result<std::shared_ptr<const PolicyState>> LoadPolicyState(size_t deployment) const {
     return deployments_[deployment].state_store->Load();
   }
 

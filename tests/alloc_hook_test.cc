@@ -2,11 +2,12 @@
 //
 // This TU replaces the global operator new/delete with counting wrappers (a
 // replaceable-function override, standard-sanctioned) and asserts that once
-// the policy's thread-local arena and caches are warm, OnWorkerStart,
-// OnRequestComplete, and OnSnapshotAdded-without-eviction allocate nothing.
+// the policy's caches are warm, OnWorkerStart, OnRequestComplete, and
+// OnSnapshotAdded-without-eviction allocate nothing.
 // A regression here silently re-introduces malloc into the per-decision hot
-// loop. It also pins the exact allocation count of a warm knowledge write
-// through PolicyStateStore, which does not depend on the machine.
+// loop. It also pins the exact allocation counts of a warm knowledge write and
+// a warm checkpoint write through PolicyStateStore, and of a warm
+// Orchestrator::StartWorker, none of which depend on the machine.
 //
 // Under sanitizers the runtime interposes its own allocator and the
 // replacement functions below may not see every allocation (or may see the
@@ -21,11 +22,15 @@
 
 #include <gtest/gtest.h>
 
+#include "src/checkpoint/criu_like_engine.h"
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/core/orchestrator.h"
 #include "src/core/policy_state_store.h"
 #include "src/core/request_centric_policy.h"
 #include "src/store/kv_database.h"
+#include "src/store/object_store.h"
+#include "src/store/snapshot_store.h"
 
 namespace {
 
@@ -143,8 +148,8 @@ TEST(AllocHookTest, SteadyStateDecisionPathIsAllocationFree) {
     ASSERT_TRUE(state.pool.Add(Entry(id, id * 7)).ok());
   }
 
-  // Warm every lazily-built structure: the policy's thread-local decision
-  // arena, the WeightVector inverse/lifetime caches, pool scratch.
+  // Warm every lazily-built structure: the WeightVector inverse/lifetime
+  // caches, pool scratch.
   for (int i = 0; i < 16; ++i) {
     const StartDecision decision = policy.OnWorkerStart(state, rng);
     (void)decision;
@@ -228,6 +233,132 @@ TEST(AllocHookTest, WarmStateUpdateAllocatesOnlyTheCasBuffer) {
   } else {
     GTEST_LOG_(INFO) << "sanitizer build: allocation counts not asserted (pool 1: "
                      << small_pool << ", pool 12: " << full_pool << ")";
+  }
+}
+
+// Heap allocations of one warm, cache-hit checkpoint write: the mutator has
+// the shape of Orchestrator::TakeCheckpoint's (five captures by reference, so
+// a std::function would heap-allocate the closure), records one new snapshot
+// and runs the capacity rule without evicting.
+unsigned long WarmCheckpointUpdateAllocations() {
+  PolicyConfig config = TestConfig();
+  config.pool_capacity = 16;
+  auto policy = RequestCentricPolicy::Create(config);
+  EXPECT_TRUE(policy.ok());
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "f", config);
+  // The pool's entry vector has room for every snapshot added below, so the
+  // counted write measures the store, not vector growth.
+  EXPECT_TRUE(store
+                  .Update([](PolicyState& state) {
+                    for (uint64_t id = 1; id <= 16; ++id) {
+                      (void)state.pool.Add(Entry(id, id));
+                    }
+                    for (uint64_t id = 1; id <= 16; ++id) {
+                      state.pool.Remove(SnapshotId{id});
+                    }
+                  })
+                  .ok());
+  Rng rng(11);
+  PoolEntry entry;
+  std::vector<PoolEntry> evicted;
+  size_t pool_size_after = 0;
+  const auto checkpoint = [&evicted, &entry, &policy, &rng,
+                           &pool_size_after](PolicyState& state) {
+    evicted.clear();
+    if (!state.pool.Contains(entry.metadata.id)) {
+      (void)state.pool.Add(entry);
+    }
+    evicted = (*policy).OnSnapshotAdded(state, rng);
+    pool_size_after = state.pool.size();
+  };
+  static_assert(sizeof(checkpoint) > 16, "closure must exceed std::function's buffer");
+  uint64_t id = 1;
+  for (; id <= 6; ++id) {
+    entry = Entry(id, id * 3);
+    EXPECT_TRUE(store.Update(checkpoint).ok());
+  }
+  entry = Entry(id, id * 3);
+  unsigned long allocations = 0;
+  {
+    CountingScope scope;
+    TakeAllocationCount();
+    EXPECT_TRUE(store.Update(checkpoint).ok());
+    allocations = TakeAllocationCount();
+  }
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(pool_size_after, 7u);
+  EXPECT_EQ(store.cache_stats().misses, 0u);
+  return allocations;
+}
+
+TEST(AllocHookTest, WarmCheckpointUpdateAllocatesOnlyTheCasBuffer) {
+  // The one allocation is the CAS buffer. The mutator is borrowed, not
+  // type-erased onto the heap: with a std::function parameter this was 2.
+  const unsigned long allocations = WarmCheckpointUpdateAllocations();
+  if (kCountingReliable) {
+    EXPECT_EQ(allocations, 1u);
+  } else {
+    GTEST_LOG_(INFO) << "sanitizer build: allocation count not asserted ("
+                     << allocations << ")";
+  }
+}
+
+// Heap allocations of one warm Orchestrator::StartWorker that restores: flat
+// store, CriuLikeEngine, a full pool of 12, decoded-state cache hot.
+unsigned long WarmStartWorkerAllocations() {
+  const WorkloadProfile& profile = **WorkloadRegistry::Default().Find("DynamicHTML");
+  PolicyConfig config;
+  config.beta = 4;
+  config.pool_capacity = 12;
+  config.max_checkpoint_request = 100;
+  auto policy = RequestCentricPolicy::Create(config);
+  EXPECT_TRUE(policy.ok());
+  SimClock clock;
+  InMemoryKvDatabase db;
+  InMemoryObjectStore objects;
+  FlatSnapshotStore snapshots(objects);
+  CriuLikeEngine engine(1);
+  PolicyStateStore state_store(db, profile.name, config);
+  Orchestrator orchestrator(profile, WorkloadRegistry::Default(), *policy, engine,
+                            snapshots, state_store, clock, /*seed=*/5);
+  // Worker lifetimes of four requests warm every cache and fill the pool
+  // (the capacity rule trims a full pool, so stop when it is full).
+  size_t pool_size = 0;
+  for (int lifetime = 0; lifetime < 1000 && (lifetime < 200 || pool_size < 12);
+       ++lifetime) {
+    auto session = orchestrator.StartWorker();
+    EXPECT_TRUE(session.ok());
+    for (uint64_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(orchestrator.ServeRequest(*session, {i, 1.0}).ok());
+    }
+    pool_size = state_store.Load()->pool.size();
+  }
+  EXPECT_EQ(pool_size, 12u);
+  unsigned long allocations = 0;
+  bool restored = false;
+  {
+    CountingScope scope;
+    TakeAllocationCount();
+    auto session = orchestrator.StartWorker();
+    allocations = TakeAllocationCount();
+    EXPECT_TRUE(session.ok());
+    restored = session.ok() && session->restored;
+  }
+  EXPECT_TRUE(restored);
+  return allocations;
+}
+
+TEST(AllocHookTest, WarmStartWorkerAllocationsArePinned) {
+  // What remains is the restore itself: the snapshot reader, the decoded
+  // image and the restored process. The decision reads the cached policy
+  // state in place; when Load returned a copy of it, this count was 22.
+  const unsigned long allocations = WarmStartWorkerAllocations();
+  if (kCountingReliable) {
+    EXPECT_EQ(allocations, 4u);
+  } else {
+    GTEST_LOG_(INFO) << "sanitizer build: allocation count not asserted ("
+                     << allocations << ")";
   }
 }
 

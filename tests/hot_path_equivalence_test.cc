@@ -281,7 +281,7 @@ void RunStoreEquivalence(bool with_faults) {
       auto b = plain.Load();
       ASSERT_EQ(a.ok(), b.ok()) << "op " << op;
       if (a.ok()) {
-        ASSERT_TRUE(*a == *b) << "op " << op;
+        ASSERT_TRUE(**a == **b) << "op " << op;
       }
     } else {
       const uint64_t request = rng.UniformUint64(config.WeightVectorLength());
@@ -346,7 +346,7 @@ TEST(PolicyStateStoreCacheTest, ConcurrentWriterInvalidatesByVersion) {
   auto again = a.Load();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(a.cache_stats().hits, hits_before + 2);
-  ASSERT_TRUE(*reloaded == *again);
+  ASSERT_TRUE(**reloaded == **again);
 }
 
 TEST(PolicyStateStoreCacheTest, FleetDigestIdenticalCacheOnOffUnderChaos) {

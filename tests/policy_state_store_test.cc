@@ -159,7 +159,7 @@ TEST(PolicyStateStoreTest, CacheHitReadsVersionWithoutCopyingTheBlob) {
     };
     ASSERT_TRUE(cached.Update(learn).ok());
     ASSERT_TRUE(plain.Update(learn).ok());
-    ASSERT_EQ(*cached.Load(), *plain.Load());
+    ASSERT_EQ(**cached.Load(), **plain.Load());
   }
   EXPECT_GT(cached.cache_stats().hits, 0u);
   EXPECT_EQ(db_cached.accounting().reads, db_plain.accounting().reads);
@@ -307,6 +307,72 @@ TEST(PolicyStateCodecTest, RoundTripsRestoreFailureLedger) {
   EXPECT_EQ(decoded->restore_failures.size(), 2u);
   EXPECT_EQ(decoded->restore_failures.at(1), 2u);
   EXPECT_EQ(decoded->restore_failures.at(9), 1u);
+}
+
+TEST(PolicyStateStoreTest, HeldSnapshotKeepsItsContentsAcrossUpdate) {
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "fn", TestConfig());
+  ASSERT_TRUE(store
+                  .Update([](PolicyState& state) {
+                    state.theta.Update(2, 0.5, 1.0);
+                    (void)state.pool.Add(Entry(1, 3));
+                  })
+                  .ok());
+  auto held = store.Load();
+  ASSERT_TRUE(held.ok());
+  const PolicyState before = **held;
+  const uint64_t misses = store.cache_stats().misses;
+  const uint64_t cas_attempts = store.stats().cas_attempts;
+
+  // Copy-on-write: the update works on a copy of the cached state, so the
+  // held snapshot is untouched, and it still commits with one CAS and no
+  // decode.
+  ASSERT_TRUE(store
+                  .Update([](PolicyState& state) {
+                    state.theta.Update(2, 0.9, 1.0);
+                    state.pool.Remove(SnapshotId{1});
+                  })
+                  .ok());
+  EXPECT_EQ(**held, before);
+  EXPECT_DOUBLE_EQ(held->theta.At(2), 0.5);
+  EXPECT_EQ(held->pool.size(), 1u);
+  EXPECT_EQ(store.stats().cas_attempts, cas_attempts + 1);
+  EXPECT_EQ(store.cache_stats().misses, misses);
+
+  // The next Load serves the updated state from the cache.
+  auto fresh = store.Load();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_DOUBLE_EQ(fresh->theta.At(2), 0.9);
+  EXPECT_TRUE(fresh->pool.empty());
+  EXPECT_NE(fresh.value().get(), held.value().get());
+  EXPECT_EQ(store.cache_stats().misses, misses);
+}
+
+TEST(PolicyStateStoreTest, UpdateMutatesAnUnheldStateInPlace) {
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "fn", TestConfig());
+  ASSERT_TRUE(store.Update([](PolicyState& state) { state.theta.Update(1, 0.1, 1.0); }).ok());
+  const PolicyState* cached = store.Load().value().get();  // Snapshot released.
+  ASSERT_TRUE(store.Update([](PolicyState& state) { state.theta.Update(1, 0.2, 1.0); }).ok());
+  auto loaded = store.Load();
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().get(), cached);
+  EXPECT_DOUBLE_EQ(loaded->theta.At(1), 0.2);
+  EXPECT_EQ(store.cache_stats().misses, 0u);
+}
+
+TEST(PolicyStateStoreTest, SnapshotsWithoutTheCacheAreIndependent) {
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "fn", TestConfig(), nullptr, StateStoreRetryPolicy{},
+                         /*enable_cache=*/false);
+  ASSERT_TRUE(store.Update([](PolicyState& state) { state.theta.Update(1, 0.1, 1.0); }).ok());
+  auto first = store.Load();
+  ASSERT_TRUE(store.Update([](PolicyState& state) { state.theta.Update(1, 0.3, 1.0); }).ok());
+  auto second = store.Load();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_DOUBLE_EQ(first->theta.At(1), 0.1);
+  EXPECT_DOUBLE_EQ(second->theta.At(1), 0.3);
 }
 
 TEST(PolicyStateStoreTest, StatsCountLoadsUpdatesAndCasAttempts) {

@@ -226,7 +226,7 @@ JournaledRunResult RunJournaledWorkload(const ServiceFaultPlan& faults,
   const auto state = stack.state_store.Load();
   EXPECT_TRUE(state.ok()) << state.status().ToString();
   if (state.ok()) {
-    result.state = *state;
+    result.state = **state;
   }
   service.Shutdown();
   return result;

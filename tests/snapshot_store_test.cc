@@ -362,7 +362,7 @@ TEST(SnapshotStoreTest, OpenReaderKeepsDeletedSnapshotReadable) {
   EXPECT_TRUE(store.CheckInvariants().ok());
 
   // Closing the last reader releases the zombie and reclaims its chunks.
-  reader->reset();
+  reader.value().reset();
   EXPECT_EQ(store.resident_chunks(), 0u);
   EXPECT_EQ(store.accounting().physical.chunks_collected, resident);
   EXPECT_TRUE(store.CheckInvariants().ok());
@@ -406,7 +406,7 @@ TEST(SnapshotStoreTest, ReaderOpenedBeforeCorruptChunkReadsOriginalBytes) {
 
     // The old chunk goes with the last reader that could read it.
     const uint64_t resident = store.resident_chunks();
-    reader->reset();
+    reader.value().reset();
     EXPECT_EQ(store.resident_chunks(), resident - 1);
     EXPECT_TRUE(store.CheckInvariants().ok()) << store.CheckInvariants().ToString();
   }

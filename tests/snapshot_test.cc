@@ -94,11 +94,6 @@ TEST(SnapshotImageTest, TrailingGarbageIsDetected) {
   EXPECT_FALSE(SnapshotImage::Decode(encoded).ok());
 }
 
-TEST(SnapshotImageTest, ObjectKeyIsScopedByFunction) {
-  const SnapshotImage image = MakeImage();
-  EXPECT_EQ(image.ObjectKey(), "snapshots/DynamicHTML/42");
-}
-
 // Property: arbitrary byte soup never crashes the decoder and never decodes
 // successfully (the CRC would have to collide on garbage).
 class SnapshotDecodeFuzz : public ::testing::TestWithParam<uint64_t> {};

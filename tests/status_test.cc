@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "src/common/result.h"
 
 namespace pronghorn {
@@ -34,6 +37,56 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
   EXPECT_EQ(AbortedError("x").code(), StatusCode::kAborted);
   EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);
+}
+
+// One word of payload beside the code: an OK status, and so every
+// successful Result<T>, carries no string.
+static_assert(sizeof(Status) <= 16);
+
+TEST(StatusTest, OkMessageIsEmpty) {
+  EXPECT_TRUE(OkStatus().message().empty());
+  EXPECT_TRUE(Status().message().empty());
+  // An error without text shares the same empty message.
+  const Status bare = NotFoundError("");
+  EXPECT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.message().empty());
+  EXPECT_EQ(bare.ToString(), "NOT_FOUND");
+  EXPECT_EQ(bare, Status(StatusCode::kNotFound, ""));
+}
+
+TEST(StatusTest, ErrorCopySurvivesTheOriginal) {
+  auto original = std::make_unique<Status>(DataLossError("checksum mismatch"));
+  const Status copy = *original;
+  Status assigned;
+  assigned = *original;
+  original.reset();
+  EXPECT_EQ(copy.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(copy.message(), "checksum mismatch");
+  EXPECT_EQ(assigned.message(), "checksum mismatch");
+  EXPECT_EQ(copy, assigned);
+}
+
+TEST(StatusTest, SelfAssignmentKeepsTheMessage) {
+  Status status = AbortedError("version moved");
+  const Status& alias = status;
+  status = alias;
+  EXPECT_EQ(status.message(), "version moved");
+}
+
+TEST(StatusTest, MovedFromStatusStaysValid) {
+  Status source = UnavailableError("store offline");
+  const Status moved = std::move(source);
+  EXPECT_EQ(moved.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(moved.message(), "store offline");
+  // The moved-from status can still be read, copied and reassigned.
+  (void)source.ToString();  // NOLINT(bugprone-use-after-move)
+  const Status copy = source;  // NOLINT(bugprone-use-after-move)
+  (void)copy.message();
+  source = InternalError("reused");
+  EXPECT_EQ(source.message(), "reused");
+  source = OkStatus();
+  EXPECT_TRUE(source.ok());
+  EXPECT_TRUE(source.message().empty());
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
@@ -94,6 +147,17 @@ TEST(ResultTest, AssignOrReturnPropagates) {
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, 42);
   EXPECT_EQ(DoubleIfPositive(-3).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(ResultTest, ArrowReachesThePointeeOfASmartPointer) {
+  struct Widget {
+    int size = 3;
+  };
+  const Result<std::shared_ptr<const Widget>> shared = std::make_shared<const Widget>();
+  EXPECT_EQ(shared->size, 3);
+  const Result<std::unique_ptr<Widget>> unique = std::make_unique<Widget>();
+  EXPECT_EQ(unique->size, 3);
+  EXPECT_EQ((*unique)->size, 3);
 }
 
 TEST(ResultTest, MoveOnlyValue) {

@@ -1,8 +1,50 @@
 #include "src/common/flags.h"
 
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 
 namespace pronghorn {
+
+Result<int64_t> ParseInt(std::string_view text, int64_t min, int64_t max) {
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    return InvalidArgumentError("expects an integer, got '" + std::string(text) + "'");
+  }
+  if (value < min || value > max) {
+    return InvalidArgumentError("must be in [" + std::to_string(min) + ", " +
+                                std::to_string(max) + "], got " + std::string(text));
+  }
+  return value;
+}
+
+Result<double> ParseNumber(std::string_view text, double min, double max) {
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || ptr != text.data() + text.size() || !std::isfinite(value)) {
+    return InvalidArgumentError("expects a number, got '" + std::string(text) + "'");
+  }
+  if (value < min || value > max) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g]", min, max);
+    return InvalidArgumentError("must be in " + std::string(range) + ", got " +
+                                std::string(text));
+  }
+  return value;
+}
+
+std::vector<std::string_view> Split(std::string_view text, char separator) {
+  std::vector<std::string_view> fields;
+  size_t start = 0;
+  for (size_t end = text.find(separator); end != std::string_view::npos;
+       end = text.find(separator, start)) {
+    fields.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  fields.push_back(text.substr(start));
+  return fields;
+}
 
 void FlagParser::AddFlag(std::string name, std::string default_value,
                          std::string description) {
@@ -83,29 +125,29 @@ Result<std::string> FlagParser::GetString(std::string_view name) const {
   return it->second.value;
 }
 
-Result<int64_t> FlagParser::GetInt(std::string_view name) const {
-  PRONGHORN_ASSIGN_OR_RETURN(std::string text, GetString(name));
-  int64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return InvalidArgumentError("flag --" + std::string(name) +
-                                " expects an integer, got '" + text + "'");
+namespace {
+
+// Prefixes a value error with the flag it came from.
+template <typename T>
+Result<T> NameFlag(std::string_view name, Result<T> value) {
+  if (value.ok()) {
+    return value;
   }
-  return value;
+  return InvalidArgumentError("flag --" + std::string(name) + " " + value.status().message());
 }
 
-Result<double> FlagParser::GetDouble(std::string_view name) const {
-  PRONGHORN_ASSIGN_OR_RETURN(std::string text, GetString(name));
-  if (text.empty()) {
-    return InvalidArgumentError("flag --" + std::string(name) + " expects a number");
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
-    return InvalidArgumentError("flag --" + std::string(name) +
-                                " expects a number, got '" + text + "'");
-  }
-  return value;
+}  // namespace
+
+Result<int64_t> FlagParser::GetInt(std::string_view name, int64_t min,
+                                   int64_t max) const {
+  PRONGHORN_ASSIGN_OR_RETURN(const std::string text, GetString(name));
+  return NameFlag(name, ParseInt(text, min, max));
+}
+
+Result<double> FlagParser::GetDouble(std::string_view name, double min,
+                                     double max) const {
+  PRONGHORN_ASSIGN_OR_RETURN(const std::string text, GetString(name));
+  return NameFlag(name, ParseNumber(text, min, max));
 }
 
 Result<bool> FlagParser::GetBool(std::string_view name) const {

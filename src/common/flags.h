@@ -5,11 +5,15 @@
 // single-dash flag spellings like `-seed 7` — silently treating those as
 // positionals would turn the flag into a no-op. Other positional arguments
 // (including negative numbers) are collected in order.
+//
+// Numeric values parse as whole tokens with an inclusive range: "4x", " 4"
+// and out-of-range values are errors, never silently truncated or narrowed.
 
 #ifndef PRONGHORN_SRC_COMMON_FLAGS_H_
 #define PRONGHORN_SRC_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -18,6 +22,14 @@
 #include "src/common/result.h"
 
 namespace pronghorn {
+
+// Parses all of `text` as a base-10 integer in [min, max].
+Result<int64_t> ParseInt(std::string_view text, int64_t min, int64_t max);
+// Parses all of `text` as a finite decimal number in [min, max].
+Result<double> ParseNumber(std::string_view text, double min, double max);
+// Splits `text` at every `separator`, keeping empty fields: "a,,b" gives
+// {"a", "", "b"} and "" gives {""}.
+std::vector<std::string_view> Split(std::string_view text, char separator);
 
 class FlagParser {
  public:
@@ -32,10 +44,15 @@ class FlagParser {
   // Parses argv (excluding argv[0]). Fails on unknown or malformed flags.
   Status Parse(int argc, const char* const* argv);
 
-  // Typed access; kInvalidArgument when the value does not parse.
+  // Typed access; kInvalidArgument naming the flag when the value does not
+  // parse or falls outside [min, max].
   Result<std::string> GetString(std::string_view name) const;
-  Result<int64_t> GetInt(std::string_view name) const;
-  Result<double> GetDouble(std::string_view name) const;
+  Result<int64_t> GetInt(std::string_view name,
+                         int64_t min = std::numeric_limits<int64_t>::min(),
+                         int64_t max = std::numeric_limits<int64_t>::max()) const;
+  Result<double> GetDouble(std::string_view name,
+                           double min = -std::numeric_limits<double>::max(),
+                           double max = std::numeric_limits<double>::max()) const;
   Result<bool> GetBool(std::string_view name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -18,6 +18,15 @@ uint64_t HashCombine(uint64_t a, uint64_t b) {
   return SplitMix64(state);
 }
 
+uint64_t StableNameHash(std::string_view name) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : name) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 namespace {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

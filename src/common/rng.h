@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace pronghorn {
@@ -21,6 +22,11 @@ uint64_t SplitMix64(uint64_t& state);
 
 // Mixes two 64-bit values into one; handy for deriving substream seeds.
 uint64_t HashCombine(uint64_t a, uint64_t b);
+
+// FNV-1a: a stable string hash for names that key RNG substreams, shard
+// routing and fingerprints (std::hash is not portable across standard
+// libraries, which would break cross-platform reproducibility).
+uint64_t StableNameHash(std::string_view name);
 
 // xoshiro256** generator with portable distribution helpers.
 class Rng {

@@ -1,5 +1,7 @@
 #include "src/core/policy_config.h"
 
+#include <string>
+
 namespace pronghorn {
 
 Status PolicyConfig::Validate() const {
@@ -11,6 +13,11 @@ Status PolicyConfig::Validate() const {
   }
   if (max_checkpoint_request == 0) {
     return InvalidArgumentError("W (max checkpoint request) must be >= 1");
+  }
+  // Summed in 64 bits: the 32-bit WeightVectorLength() wraps for large inputs.
+  if (uint64_t{max_checkpoint_request} + beta + 1 > kMaxWeightVectorLength) {
+    return InvalidArgumentError("W + beta + 1 (weight vector length) must be <= " +
+                                std::to_string(kMaxWeightVectorLength));
   }
   if (alpha <= 0.0 || alpha > 1.0) {
     return InvalidArgumentError("alpha must be in (0, 1]");

@@ -39,6 +39,12 @@ struct PolicyConfig {
   // worker restored at W still reports latencies for its whole lifetime.
   uint32_t WeightVectorLength() const { return max_checkpoint_request + beta + 1; }
 
+  // Validate() rejects configs whose weight vector would be longer than this:
+  // every policy state holds one weight per request number, so a longer
+  // vector is a mistyped beta or W, not an experiment (the paper's largest
+  // is W = 200 plus beta = 20).
+  static constexpr uint64_t kMaxWeightVectorLength = uint64_t{1} << 20;
+
   // Validates ranges; kInvalidArgument with a precise message otherwise.
   Status Validate() const;
 };

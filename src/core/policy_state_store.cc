@@ -17,17 +17,6 @@ namespace {
 // group commits exactly-once across service crashes.
 constexpr uint32_t kStateFormatVersion = 3;
 
-// FNV-1a over the function name: a stable seed for the per-store jitter
-// stream (std::hash is not portable across standard libraries).
-uint64_t StableNameHash(std::string_view name) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 namespace {

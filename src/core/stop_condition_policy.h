@@ -36,6 +36,9 @@ class StopConditionPolicy : public OrchestrationPolicy {
                          Duration latency) const override;
   std::vector<PoolEntry> OnSnapshotAdded(PolicyState& state, Rng& rng) const override;
 
+  const OrchestrationPolicy& inner() const { return inner_; }
+  uint64_t explore_requests() const { return explore_requests_; }
+
   // True once the exploration budget has been spent.
   bool frozen() const { return requests_seen_.load(std::memory_order_relaxed) >=
                                explore_requests_; }

@@ -476,21 +476,6 @@ Result<SimulationReport> DeserializeFlatReport(ByteReader& reader) {
   return out;
 }
 
-namespace {
-
-// FNV-1a, the same stable name hash SimEnvironment::DeploymentSeed keys RNG
-// substreams with; here it keys the reservoir retention sample.
-uint64_t StableNameHash(std::string_view name) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-}  // namespace
-
 StreamingAccumulator::StreamingAccumulator(RetentionOptions retention)
     : retention_(retention) {}
 

@@ -10,27 +10,10 @@
 #include <unistd.h>
 
 #include "src/checkpoint/snapshot.h"
-#include "src/common/rng.h"
 
 namespace pronghorn {
 
 namespace {
-
-uint64_t HashString(std::string_view text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-uint64_t HashDouble(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  __builtin_memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
 
 // Flushes the directory entry so the rename itself survives a power cut.
 void SyncParentDir(const std::string& path) {
@@ -44,52 +27,6 @@ void SyncParentDir(const std::string& path) {
 }
 
 }  // namespace
-
-void SimFingerprint::AddFunction(std::string_view name, uint64_t requests,
-                                 uint32_t worker_slots, uint32_t exploring_slots) {
-  uint64_t entry = HashString(name);
-  entry = HashCombine(entry, requests);
-  entry = HashCombine(entry, worker_slots);
-  entry = HashCombine(entry, exploring_slots);
-  // XOR-fold so registration order is irrelevant (names are unique, so no
-  // two entries can cancel).
-  value_ ^= HashCombine(0x5fb7ULL, entry);
-}
-
-void SimFingerprint::AddOptions(const SimOptions& options) {
-  uint64_t h = HashCombine(value_, options.seed);
-  h = HashCombine(h, static_cast<uint64_t>(options.engine_kind));
-  h = HashCombine(h, options.input_noise ? 1 : 0);
-  h = HashCombine(h, static_cast<uint64_t>(options.eviction.kind));
-  h = HashCombine(h, options.eviction.k);
-  h = HashCombine(h, HashDouble(options.eviction.mean_requests));
-  h = HashCombine(h, static_cast<uint64_t>(options.eviction.idle_timeout.ToMicros()));
-  h = HashCombine(h, static_cast<uint64_t>(options.retention.mode));
-  h = HashCombine(h, options.retention.k);
-  h = HashCombine(h, options.retention.seed);
-  // The chaos plan changes every digest, so it must pin the fingerprint too.
-  h = HashCombine(h, HashDouble(options.faults.get_failure_rate));
-  h = HashCombine(h, HashDouble(options.faults.put_failure_rate));
-  h = HashCombine(h, HashDouble(options.faults.delete_failure_rate));
-  h = HashCombine(h, HashDouble(options.faults.metadata_failure_rate));
-  h = HashCombine(h, HashDouble(options.faults.corruption_rate));
-  h = HashCombine(h, HashDouble(options.faults.torn_write_rate));
-  h = HashCombine(h, HashDouble(options.faults.chunk_corruption_rate));
-  h = HashCombine(h, HashDouble(options.faults.manifest_corruption_rate));
-  h = HashCombine(h, options.faults.seed);
-  // The store build changes chaos RNG routing (and, for dedup + chunk
-  // faults, outcomes), so it pins the fingerprint like the chaos plan does.
-  h = HashCombine(h, static_cast<uint64_t>(options.store.kind));
-  h = HashCombine(h, options.store.chunker.chunk_size);
-  h = HashCombine(h, options.store.chunker.min_size);
-  h = HashCombine(h, options.store.chunker.max_size);
-  h = HashCombine(h, options.store.chunker.cdc ? 1 : 0);
-  h = HashCombine(h, options.store.lazy_restore ? 1 : 0);
-  h = HashCombine(h, options.store.chunk_cache_bytes);
-  h = HashCombine(h, seed);
-  h = HashCombine(h, topology);
-  value_ = h;
-}
 
 Status WriteSimCheckpointFile(const std::string& path, uint64_t fingerprint,
                               uint64_t progress, std::span<const uint8_t> payload) {

@@ -41,26 +41,6 @@
 
 namespace pronghorn {
 
-// Stable fingerprint of the experiment a checkpoint belongs to: the fleet
-// seed, engine kind, eviction spec, retention options, and the canonical
-// (name, requests, slots) list of deployments. Resuming is refused when the
-// fingerprint disagrees — a checkpoint must never silently continue a
-// different experiment.
-struct SimFingerprint {
-  uint64_t seed = 0;
-  uint32_t topology = 0;  // SimTopology ordinal of the producing driver.
-  // Fold one deployment into the fingerprint (order-insensitive: entries are
-  // hashed individually and combined with an XOR-style commutative mix).
-  void AddFunction(std::string_view name, uint64_t requests, uint32_t worker_slots,
-                   uint32_t exploring_slots);
-  void AddOptions(const SimOptions& options);
-
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 0x70534b43u;  // Arbitrary non-zero start.
-};
-
 // Atomic checkpoint file IO. `path` is the full file path; `Write` goes
 // through `path + ".tmp"` + fsync + rename.
 Status WriteSimCheckpointFile(const std::string& path, uint64_t fingerprint,

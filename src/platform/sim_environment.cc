@@ -18,19 +18,6 @@ FaultPlan ScopePlan(const FaultPlan& base, uint64_t env_seed, uint64_t salt) {
   return plan;
 }
 
-// FNV-1a over the deployment name: a stable, platform-independent string
-// hash, folded with the environment seed below. (std::hash is not portable
-// across standard libraries, which would break cross-platform
-// reproducibility.)
-uint64_t StableNameHash(std::string_view name) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::unique_ptr<CheckpointEngine> MakeEngine(EngineKind kind, uint64_t seed) {
   if (kind == EngineKind::kDelta) {
     return std::make_unique<DeltaCheckpointEngine>(seed);

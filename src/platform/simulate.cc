@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/thread_pool.h"
+#include "src/platform/experiment.h"
 #include "src/platform/report_io.h"
 #include "src/platform/sim_checkpoint.h"
 #include "src/platform/sim_environment.h"
@@ -331,20 +332,6 @@ uint32_t SimReport::Digest() const {
     rows.push_back(NamedReportRef{result.function, &result.report});
   }
   return ReportDigest(rows, *this);
-}
-
-uint64_t ExperimentFingerprint(SimTopology topology,
-                               std::span<const SimFunctionSpec> functions,
-                               const SimOptions& options) {
-  SimFingerprint fingerprint;
-  fingerprint.seed = options.seed;
-  fingerprint.topology = static_cast<uint32_t>(topology);
-  for (const SimFunctionSpec& spec : functions) {
-    fingerprint.AddFunction(spec.name, spec.requests, options.worker_slots,
-                            options.exploring_slots);
-  }
-  fingerprint.AddOptions(options);
-  return fingerprint.value();
 }
 
 const SimulationReport* SimReport::Find(std::string_view name) const {

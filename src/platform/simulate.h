@@ -144,14 +144,6 @@ Result<SimReport> Simulate(const WorkloadRegistry& registry, SimTopology topolog
                            std::span<const SimFunctionSpec> functions,
                            const SimOptions& options, ObsSink* obs = nullptr);
 
-// The fingerprint Simulate() keys its checkpoint frames by: seed, topology,
-// the digest-relevant options, and the (name, requests, slots) of every
-// function, order-insensitively. Scheduling knobs (threads, pinning, service
-// mode) and observability are not part of it: they never change a digest.
-uint64_t ExperimentFingerprint(SimTopology topology,
-                               std::span<const SimFunctionSpec> functions,
-                               const SimOptions& options);
-
 }  // namespace pronghorn
 
 #endif  // PRONGHORN_SRC_PLATFORM_SIMULATE_H_

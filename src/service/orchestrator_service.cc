@@ -52,18 +52,6 @@ class CallerThreadMembership {
   std::vector<std::shared_ptr<std::atomic<uint32_t>>> joined_;
 };
 
-// FNV-1a over the function name: the stable shard-routing hash (std::hash is
-// not portable across standard libraries; the same function must land on the
-// same shard everywhere).
-uint64_t StableNameHash(std::string_view name) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 ServiceResponse ErrorResponse(const Status& status) {
   ServiceResponse response;
   response.type = WireType::kError;

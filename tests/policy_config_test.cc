@@ -47,6 +47,18 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidCase{"zero_beta", [](PolicyConfig& c) { c.beta = 0; }},
         InvalidCase{"zero_capacity", [](PolicyConfig& c) { c.pool_capacity = 0; }},
         InvalidCase{"zero_w", [](PolicyConfig& c) { c.max_checkpoint_request = 0; }},
+        InvalidCase{"weight_vector_over_cap",
+                    [](PolicyConfig& c) {
+                      c.beta = static_cast<uint32_t>(PolicyConfig::kMaxWeightVectorLength);
+                    }},
+        // 99999999999 narrowed to 32 bits: ~1.2e9 weights.
+        InvalidCase{"huge_beta", [](PolicyConfig& c) { c.beta = 1215752191; }},
+        // The 32-bit length wraps to a small number; the check must not.
+        InvalidCase{"length_wraps_32_bits",
+                    [](PolicyConfig& c) {
+                      c.beta = 0xffffffffu;
+                      c.max_checkpoint_request = 1;
+                    }},
         InvalidCase{"alpha_zero", [](PolicyConfig& c) { c.alpha = 0.0; }},
         InvalidCase{"alpha_above_one", [](PolicyConfig& c) { c.alpha = 1.5; }},
         InvalidCase{"negative_p", [](PolicyConfig& c) { c.retain_top_percent = -1; }},
@@ -73,6 +85,9 @@ TEST(PolicyConfigTest, BoundaryValuesAccepted) {
   EXPECT_TRUE(config.Validate().ok());
   config.beta = 1;
   EXPECT_TRUE(config.Validate().ok());
+  config.max_checkpoint_request = 100;
+  config.beta = static_cast<uint32_t>(PolicyConfig::kMaxWeightVectorLength - 101);
+  EXPECT_TRUE(config.Validate().ok());  // Exactly at the weight-vector cap.
 }
 
 }  // namespace

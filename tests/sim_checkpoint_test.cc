@@ -26,8 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
+#include "src/core/stop_condition_policy.h"
 #include "src/jit/method_model.h"
+#include "src/platform/experiment.h"
 #include "src/platform/report_io.h"
 #include "src/platform/simulate.h"
 
@@ -77,8 +80,11 @@ FleetRunConfig WithThreads(uint32_t threads) {
 
 // ExperimentFingerprint of the FleetRunConfig{} experiment. Checkpoint
 // frames are keyed by it, so a change here strands every frame written
-// before it.
-constexpr uint64_t kDefaultFleetFingerprint = 0x4ec6232df41676faULL;
+// before it. It moved from 0x4ec6232df41676fa when the fingerprint started
+// hashing every identity row of the experiment table and each function's
+// profile and policy: frames written before that are refused
+// (kFailedPrecondition), never spliced.
+constexpr uint64_t kDefaultFleetFingerprint = 0x447510a7e3363ac4ULL;
 
 SimOptions FleetOptions(const FleetRunConfig& config) {
   SimOptions options;
@@ -434,6 +440,60 @@ TEST(SimCheckpointTest, DifferentExperimentCheckpointIsRefused) {
   ASSERT_TRUE(ok_read.ok());
   EXPECT_EQ(*ok_read, payload);
   std::filesystem::remove_all(dir);
+}
+
+// Each case writes a frame, then resumes with one changed input that moves
+// the digest. Every such resume must be refused, never spliced onto the
+// frame's report.
+TEST(SimCheckpointTest, ResumeWithAnyChangedInputIsRefused) {
+  const RequestCentricPolicy policy = MakePolicy();
+  PolicyConfig larger_pool = SmallConfig();
+  larger_pool.pool_capacity = 12;
+  const Result<RequestCentricPolicy> pool_policy = RequestCentricPolicy::Create(larger_pool);
+  ASSERT_TRUE(pool_policy.ok()) << pool_policy.status().ToString();
+  const ColdStartPolicy cold(SmallConfig());
+  const StopConditionPolicy stop_early(policy, 50);
+  const StopConditionPolicy stop_late(policy, 60);
+  struct Case {
+    const char* name;
+    const OrchestrationPolicy* writer;
+    const OrchestrationPolicy* resumer;
+    void (*change)(SimOptions&);
+  };
+  const auto keep = [](SimOptions&) {};
+  const Case cases[] = {
+      {"pool_capacity", &policy, &*pool_policy, keep},
+      {"policy_kind", &cold, &policy, keep},
+      {"stop_budget", &stop_early, &stop_late, keep},
+      {"fault_window", &policy, &policy,
+       [](SimOptions& o) {
+         FaultWindow window;
+         window.domain = FaultDomain::kDatabase;
+         window.end = TimePoint() + Duration::Seconds(2);
+         o.faults.windows.push_back(window);
+       }},
+      {"recovery", &policy, &policy,
+       [](SimOptions& o) { o.recovery.max_restore_candidates = 1; }},
+      {"lifecycle", &policy, &policy,
+       [](SimOptions& o) { o.lifecycle.startup_on_critical_path = true; }},
+      {"costs", &policy, &policy,
+       [](SimOptions& o) { o.costs.db_read_latency = Duration::Millis(9); }},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = FreshDir(std::string("splice_") + c.name);
+    SimOptions options = FleetOptions(FleetRunConfig{});
+    options.sim_checkpoint.dir = dir;
+    auto written = Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
+                            FleetSpecs(*c.writer), options);
+    ASSERT_TRUE(written.ok()) << c.name << ": " << written.status().ToString();
+    c.change(options);
+    options.sim_checkpoint.resume = true;
+    auto resumed = Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
+                            FleetSpecs(*c.resumer), options);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+        << c.name << ": " << resumed.status().ToString();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(SimCheckpointTest, MissingCheckpointIsNotFound) {

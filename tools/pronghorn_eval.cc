@@ -25,9 +25,9 @@ using namespace pronghorn;
 
 namespace {
 
-int Fail(const Status& status) {
+int Fail(const Status& status, int exit_code = 1) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
+  return exit_code;
 }
 
 struct Combo {
@@ -62,9 +62,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const Result<int64_t> requests = flags.GetInt("requests", 1, 1'000'000'000);
+  const Result<int64_t> seed_base = flags.GetInt("seed");
+  if (!requests.ok() || !seed_base.ok()) {
+    return Fail(requests.ok() ? seed_base.status() : requests.status(), 2);
+  }
   const std::string out_dir = *flags.GetString("out");
-  const uint64_t requests = static_cast<uint64_t>(*flags.GetInt("requests"));
-  const uint64_t seed_base = static_cast<uint64_t>(*flags.GetInt("seed"));
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   if (ec) {
@@ -96,7 +99,7 @@ int main(int argc, char** argv) {
         // Simulate(kSingle) with one worker slot and sub-seed = options.seed:
         // the paper's single-function measurement setup.
         SimOptions options;
-        options.seed = seed_base + k;
+        options.seed = static_cast<uint64_t>(*seed_base) + k;
         options.worker_slots = 1;
         options.exploring_slots = 1;
         options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
         spec.name = profile->name;
         spec.profile = profile;
         spec.policy = policy;
-        spec.requests = requests;
+        spec.requests = static_cast<uint64_t>(*requests);
         auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
                                std::span<const SimFunctionSpec>(&spec, 1), options);
         if (!report.ok()) {

@@ -19,11 +19,6 @@ using namespace pronghorn;
 
 namespace {
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
 void ShowFile(const std::string& path, bool show_cdf, bool show_maturity) {
   auto records = ReadRecordsCsv(path);
   if (!records.ok()) {

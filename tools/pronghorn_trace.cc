@@ -3,7 +3,7 @@
 // Emits an invocation trace CSV consumable by the replay pipeline
 // (examples/trace_replay, SimEnvironment::RunArrivals).
 //
-//   pronghorn_trace --functions MST:85,Thumbnailer:75,HTMLRendering:65 \
+//   pronghorn_trace --functions MST:85,Thumbnailer:75,HTMLRendering:65
 //                   --window-s 900 --windows 4 --seed 7 --out trace.csv
 
 #include <cstdio>
@@ -24,30 +24,23 @@ int Fail(const Status& status) {
 
 // Parses "name:percentile,name:percentile,...".
 Result<std::vector<std::pair<std::string, double>>> ParseFunctions(
-    const std::string& spec) {
+    std::string_view spec) {
   std::vector<std::pair<std::string, double>> out;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) {
-      end = spec.size();
-    }
-    const std::string entry = spec.substr(pos, end - pos);
-    pos = end + 1;
+  for (const std::string_view entry : Split(spec, ',')) {
     if (entry.empty()) {
       continue;
     }
-    const size_t colon = entry.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      return InvalidArgumentError("bad --functions entry '" + entry +
+    const std::vector<std::string_view> fields = Split(entry, ':');
+    if (fields.size() != 2 || fields[0].empty()) {
+      return InvalidArgumentError("bad --functions entry '" + std::string(entry) +
                                   "', expected name:percentile");
     }
-    char* parse_end = nullptr;
-    const double percentile = std::strtod(entry.c_str() + colon + 1, &parse_end);
-    if (parse_end != entry.c_str() + entry.size()) {
-      return InvalidArgumentError("bad percentile in '" + entry + "'");
+    const Result<double> percentile = ParseNumber(fields[1], 0.0, 100.0);
+    if (!percentile.ok()) {
+      return InvalidArgumentError("bad percentile in '" + std::string(entry) +
+                                  "': " + percentile.status().message());
     }
-    out.emplace_back(entry.substr(0, colon), percentile);
+    out.emplace_back(std::string(fields[0]), *percentile);
   }
   if (out.empty()) {
     return InvalidArgumentError("--functions must name at least one function");
@@ -80,33 +73,41 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto functions = ParseFunctions(*flags.GetString("functions"));
-  if (!functions.ok()) {
-    return Fail(functions.status());
-  }
-  const int64_t window_s = *flags.GetInt("window-s");
-  const int64_t windows = *flags.GetInt("windows");
-  if (window_s <= 0 || windows <= 0) {
-    return Fail(InvalidArgumentError("--window-s and --windows must be positive"));
+  // Bounds keep a typo from asking for an unbounded trace or an overflowed
+  // timestamp (windows x window-s stays far below 2^63 microseconds).
+  const auto functions = ParseFunctions(*flags.GetString("functions"));
+  const Result<int64_t> window_s = flags.GetInt("window-s", 1, 10'000'000);
+  const Result<int64_t> windows = flags.GetInt("windows", 1, 10'000);
+  const Result<int64_t> seed = flags.GetInt("seed");
+  const Result<double> mu = flags.GetDouble("mu", -10.0, 10.0);
+  const Result<double> sigma = flags.GetDouble("sigma", 0.0, 10.0);
+  const Result<double> burstiness = flags.GetDouble("burstiness", 0.0, 10.0);
+  for (const Status& s : {functions.status(), window_s.status(), windows.status(),
+                          seed.status(), mu.status(), sigma.status(),
+                          burstiness.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+      return 2;
+    }
   }
 
   AzureTraceModelParams params;
-  params.log10_daily_mu = *flags.GetDouble("mu");
-  params.log10_daily_sigma = *flags.GetDouble("sigma");
-  params.burstiness = *flags.GetDouble("burstiness");
+  params.log10_daily_mu = *mu;
+  params.log10_daily_sigma = *sigma;
+  params.burstiness = *burstiness;
   const AzureTraceModel model(params);
-  TraceGenerator generator(model, static_cast<uint64_t>(*flags.GetInt("seed")));
+  TraceGenerator generator(model, static_cast<uint64_t>(*seed));
 
   // Concatenate `windows` consecutive windows, shifting each by its offset.
   InvocationTrace trace;
   std::vector<TraceRecord> merged;
-  for (int64_t w = 0; w < windows; ++w) {
+  for (int64_t w = 0; w < *windows; ++w) {
     auto window_trace = generator.GenerateTrace(
-        *functions, Duration::Seconds(static_cast<double>(window_s)));
+        *functions, Duration::Seconds(static_cast<double>(*window_s)));
     if (!window_trace.ok()) {
       return Fail(window_trace.status());
     }
-    const int64_t offset_us = w * window_s * 1000000;
+    const int64_t offset_us = w * *window_s * 1000000;
     for (const TraceRecord& record : window_trace->records()) {
       merged.push_back(TraceRecord{
           record.function, TimePoint::FromMicros(record.arrival.ToMicros() + offset_us)});
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
       return Fail(s);
     }
     std::fprintf(stderr, "wrote %zu invocations over %lld window(s) to %s\n",
-                 trace.size(), static_cast<long long>(windows), out_path.c_str());
+                 trace.size(), static_cast<long long>(*windows), out_path.c_str());
   }
   return 0;
 }

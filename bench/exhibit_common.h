@@ -39,15 +39,6 @@ struct TimingSample {
   double median_seconds = 0.0;
   double min_seconds = 0.0;
   double max_seconds = 0.0;
-
-  // Half the min..max width as a fraction of the median — the "±" the
-  // comparison tool weighs a delta against.
-  double SpreadFraction() const {
-    if (median_seconds <= 0.0) {
-      return 0.0;
-    }
-    return (max_seconds - min_seconds) / (2.0 * median_seconds);
-  }
 };
 
 // Times `fn` `reps` times after `warmup` untimed runs; returns the median

@@ -151,15 +151,18 @@ Result<double> FlagParser::GetDouble(std::string_view name, double min,
 }
 
 Result<bool> FlagParser::GetBool(std::string_view name) const {
-  PRONGHORN_ASSIGN_OR_RETURN(std::string text, GetString(name));
-  if (text == "true" || text == "1") {
+  const Result<std::string> text = GetString(name);
+  if (!text.ok()) {
+    return text.status();
+  }
+  if (*text == "true" || *text == "1") {
     return true;
   }
-  if (text == "false" || text == "0") {
+  if (*text == "false" || *text == "0") {
     return false;
   }
   return InvalidArgumentError("flag --" + std::string(name) +
-                              " expects true/false, got '" + text + "'");
+                              " expects true/false, got '" + *text + "'");
 }
 
 std::string FlagParser::UsageText(std::string_view program_name) const {

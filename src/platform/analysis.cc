@@ -39,10 +39,12 @@ std::optional<uint64_t> ConvergenceRequest(std::span<const RequestRecord> record
   return std::nullopt;
 }
 
-namespace {
-
-std::vector<MaturityLatency> SummarizeMaturityBuckets(
-    const std::map<uint64_t, std::vector<double>>& by_maturity) {
+std::vector<MaturityLatency> LatencyByMaturity(std::span<const RequestRecord> records) {
+  std::map<uint64_t, std::vector<double>> by_maturity;
+  for (const RequestRecord& record : records) {
+    by_maturity[record.request_number].push_back(
+        static_cast<double>(record.latency.ToMicros()));
+  }
   std::vector<MaturityLatency> out;
   out.reserve(by_maturity.size());
   for (const auto& [request_number, latencies] : by_maturity) {
@@ -55,29 +57,6 @@ std::vector<MaturityLatency> SummarizeMaturityBuckets(
     out.push_back(row);
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<MaturityLatency> LatencyByMaturity(std::span<const RequestRecord> records) {
-  std::map<uint64_t, std::vector<double>> by_maturity;
-  for (const RequestRecord& record : records) {
-    by_maturity[record.request_number].push_back(
-        static_cast<double>(record.latency.ToMicros()));
-  }
-  return SummarizeMaturityBuckets(by_maturity);
-}
-
-std::vector<MaturityLatency> LatencyByMaturityAcrossStreams(
-    std::span<const std::span<const RequestRecord>> streams) {
-  std::map<uint64_t, std::vector<double>> by_maturity;
-  for (const std::span<const RequestRecord> stream : streams) {
-    for (const RequestRecord& record : stream) {
-      by_maturity[record.request_number].push_back(
-          static_cast<double>(record.latency.ToMicros()));
-    }
-  }
-  return SummarizeMaturityBuckets(by_maturity);
 }
 
 double MedianImprovementPercent(const SimulationReport& baseline,

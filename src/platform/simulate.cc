@@ -4,6 +4,8 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/thread_pool.h"
@@ -42,8 +44,9 @@ Status ValidateSpecs(SimTopology topology,
   if (topology == SimTopology::kSingle && functions.size() != 1) {
     return InvalidArgumentError("kSingle topology takes exactly one function");
   }
-  for (size_t i = 0; i < functions.size(); ++i) {
-    const SimFunctionSpec& spec = functions[i];
+  std::unordered_set<std::string_view> names;
+  names.reserve(functions.size());
+  for (const SimFunctionSpec& spec : functions) {
     if (spec.name.empty()) {
       return InvalidArgumentError("function name must be non-empty");
     }
@@ -55,10 +58,8 @@ Status ValidateSpecs(SimTopology topology,
       return InvalidArgumentError("function '" + spec.name +
                                   "' needs a positive request count");
     }
-    for (size_t j = 0; j < i; ++j) {
-      if (functions[j].name == spec.name) {
-        return AlreadyExistsError("duplicate function '" + spec.name + "'");
-      }
+    if (!names.insert(spec.name).second) {
+      return AlreadyExistsError("duplicate function '" + spec.name + "'");
     }
   }
   return OkStatus();

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/request_centric_policy.h"
@@ -233,6 +234,12 @@ TEST(FleetSimulationTest, RejectsInvalidDeployments) {
   good.policy = &policy;
   const SimFunctionSpec duplicate[] = {good, good};
   EXPECT_EQ(RunFleet(duplicate).code(), StatusCode::kAlreadyExists);
+  SimFunctionSpec other = good;
+  other.name = "other";
+  const SimFunctionSpec apart[] = {good, other, good};
+  const Status apart_status = RunFleet(apart);
+  EXPECT_EQ(apart_status.code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(apart_status.message().find("'fn'"), std::string::npos);
 
   SimFunctionSpec unnamed = good;
   unnamed.name.clear();

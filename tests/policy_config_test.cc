@@ -74,7 +74,9 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidCase{"negative_mu", [](PolicyConfig& c) { c.mu = -1e-6; }},
         InvalidCase{"zero_temperature",
                     [](PolicyConfig& c) { c.softmax_temperature = 0.0; }}),
-    [](const ::testing::TestParamInfo<InvalidCase>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<InvalidCase>& param_info) {
+      return param_info.param.name;
+    });
 
 TEST(PolicyConfigTest, BoundaryValuesAccepted) {
   PolicyConfig config = PaperConfig();

@@ -238,7 +238,7 @@ TEST(RequestCentricPolicyTest, EvictionFiresAboveCapacity) {
   PolicyState state(policy.config());
   for (uint64_t i = 1; i <= 7; ++i) {
     ASSERT_TRUE(state.pool.Add(Entry(i, i * 5)).ok());
-    policy.OnRequestComplete(state, i * 5, Duration::Millis(10 * i));
+    policy.OnRequestComplete(state, i * 5, Duration::Millis(static_cast<int64_t>(10 * i)));
   }
   Rng rng(11);
   const auto evicted = policy.OnSnapshotAdded(state, rng);
@@ -254,7 +254,7 @@ TEST(RequestCentricPolicyTest, DeterministicGivenSameRngSeed) {
   const RequestCentricPolicy policy = MakePolicy();
   PolicyState state(policy.config());
   for (uint64_t i = 1; i <= 10; ++i) {
-    policy.OnRequestComplete(state, i, Duration::Millis(17 * (i % 3 + 1)));
+    policy.OnRequestComplete(state, i, Duration::Millis(static_cast<int64_t>(17 * (i % 3 + 1))));
   }
   Rng rng_a(42);
   Rng rng_b(42);

@@ -115,13 +115,13 @@ INSTANTIATE_TEST_SUITE_P(
                       // beta deliberately mismatched with eviction k.
                       Scenario{"DFS", 16, 12, 100, 4, 11},
                       Scenario{"PageRank", 2, 12, 100, 10, 12}),
-    [](const ::testing::TestParamInfo<Scenario>& info) {
-      return std::string(info.param.benchmark) + "_b" +
-             std::to_string(info.param.beta) + "_C" +
-             std::to_string(info.param.pool_capacity) + "_W" +
-             std::to_string(info.param.w) + "_k" +
-             std::to_string(info.param.eviction_k) + "_s" +
-             std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<Scenario>& param_info) {
+      return std::string(param_info.param.benchmark) + "_b" +
+             std::to_string(param_info.param.beta) + "_C" +
+             std::to_string(param_info.param.pool_capacity) + "_W" +
+             std::to_string(param_info.param.w) + "_k" +
+             std::to_string(param_info.param.eviction_k) + "_s" +
+             std::to_string(param_info.param.seed);
     });
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(ArrivalStreamTest, RateMatchesTheModelExpectation) {
     for (int s = 0; s < kStreams; ++s) {
       FunctionArrivalSpec varied = spec;
       varied.diurnal_phase_s = s * 86400.0 / kStreams;
-      ArrivalStream stream(model, varied, 1000 + s, window);
+      ArrivalStream stream(model, varied, 1000u + static_cast<uint64_t>(s), window);
       while (stream.Next()) {
         ++total;
       }
@@ -216,7 +216,7 @@ TEST(ArrivalStreamTest, DiurnalModulationActuallyMovesArrivalsInTime) {
   spec.diurnal_phase_s = 0.0;
   const Duration window = Duration::Seconds(86400);
   uint64_t first_half = 0, second_half = 0;
-  for (int s = 0; s < 30; ++s) {
+  for (uint64_t s = 0; s < 30; ++s) {
     ArrivalStream stream(model, spec, 500 + s, window);
     while (auto arrival = stream.Next()) {
       (arrival->ToSeconds() < 43200.0 ? first_half : second_half)++;
